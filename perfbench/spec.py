@@ -62,20 +62,23 @@ WORKLOADS: dict[str, dict] = {
         "dominant": ("core", 0.8),
     },
     "service_n1000": {
-        "why": "the backbone service: one journaled N=1000 tenant, burst "
-        "updates for capacity around an open loop of 6 updates/s beside "
-        "200 queries/s",
+        "why": "the backbone service: four journaled N=1000 tenants driven "
+        "in turn, bursts of updates for capacity alternating with an open "
+        "loop of 6 updates/s beside 200 queries/s",
         "params": {
-            "hosts": 1000, "scheme": "el2",
+            "hosts": 1000, "tenants": 4, "scheme": "el2",
             "service_backend": "delta",
-            "journal": "temp data_dir, snapshot every 50 updates",
+            "journal": "temp data_dir", "snapshot_every": 25,
             "stream": "UpdateStream 70% move / 20% drain / 10% churn",
             "burst_updates_per_run_second": 6,
             "open_loop_update_rate_per_s": 6.0,
             "open_loop_query_rate_per_s": 200.0,
             "open_loop_share_of_seconds": 2 / 3,
-            "samples": "one publish latency per open-loop update (80 at 20 "
-            "s), 200 queries per open-loop second",
+            "cycles": 12,
+            "samples": "12 cycles of one burst (10 updates at 20 s) and one "
+            "open-loop segment (7 updates at 20 s), cycle c on tenant c % 4; "
+            "one publish latency per "
+            "open-loop update, 200 queries per open-loop second",
         },
         "dominant": ("core", 0.6),
     },
@@ -87,12 +90,14 @@ WORKLOADS: dict[str, dict] = {
 END_TO_END: list[tuple[str, str, str, float, str]] = [
     ("setup_s", "s", "lower", 0.25,
      "median import of the program's modules plus median of several "
-     "set-ups (network placement / tenant creation and first verified "
-     "publish) before the first timed call"),
+     "set-ups (network placement / service creation and its tenants' "
+     "first verified publishes) before the first timed call"),
     ("updates_per_s", "1/s", "higher", 0.25,
-     "backbone updates completed per second: lifespans count update "
-     "intervals (median over the run's cells/trials), the service counts "
-     "burst-phase updates applied and published"),
+     "backbone updates completed per second: fig11_n100 takes intervals "
+     "per second of each cell's wall, median over cells; the other "
+     "lifespans take the reciprocal of the interquartile mean of their "
+     "interval wall times; the service takes all burst updates over the "
+     "bursts' total time until published"),
     ("update_p50_ms", "ms", "lower", 0.25,
      "median time for one backbone update: lifespans time each interval "
      "(fig11_n100: each trial's mean interval), the service times an "

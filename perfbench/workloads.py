@@ -62,6 +62,18 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def interquartile_mean(samples) -> float:
+    """Mean of the middle half of ``samples``.
+
+    Lifespan rates come from it: it averages half the samples, where a
+    median reads one, yet drops the cold first interval of each trial
+    and the slowest stalls.
+    """
+    a = np.sort(np.asarray(samples, dtype=float))
+    cut = len(a) // 4
+    return float(a[cut:len(a) - cut].mean())
+
+
 def timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
@@ -224,12 +236,11 @@ def _run_lifespans(ctx: Ctx, workload: str) -> Outcome:
     for _ in range(SETUP_REPEATS - 1):
         setup_samples.append(timed(build, 0)[1])
 
+    interval_s = [t for c in clocks for t in c.interval_times()]
     out = Outcome(
         setup_samples=setup_samples,
-        updates_per_s=float(np.median(
-            [len(c.frames) / w for c, w in zip(clocks, walls)]
-        )),
-        update_samples_s=[t for c in clocks for t in c.interval_times()],
+        updates_per_s=1.0 / interquartile_mean(interval_s),
+        update_samples_s=interval_s,
         peak_rss_mb=rss,
         attempted=sum(len(c.frames) for c in clocks),
         checks=0,
@@ -373,61 +384,65 @@ async def _sleep_until(t: float) -> None:
         await asyncio.sleep(delay)
 
 
-class _Tenant:
-    """A service instance holding the benchmark's one tenant.
+class _Service:
+    """A service instance holding the benchmark's tenants.
 
-    The tenant is placed and driven exactly as ``repro.service.driver``
-    seeds tenant 0 of a run (``seed_positions`` / ``tenant_seed``).
+    Tenant ``i`` is placed and driven exactly as ``repro.service.driver``
+    seeds tenant ``i`` of a run (``seed_positions`` / ``tenant_seed``).
     """
 
-    NAME = "t0"
-
-    def __init__(self, ctx: Ctx, hosts: int, side: float) -> None:
+    def __init__(self, ctx: Ctx, tenants: int, hosts: int, side: float) -> None:
         self.ctx, self.hosts, self.side = ctx, hosts, side
+        self.names = [f"t{i}" for i in range(tenants)]
 
     async def start(self) -> bool:
-        """Create the tenant; True when its first publish is verified."""
+        """Create the tenants; True when every first publish is verified."""
         from repro.service.driver import seed_positions
         from repro.service.server import BackboneService, ServiceConfig
 
+        p = WORKLOADS["service_n1000"]["params"]
         cfg = ServiceConfig(
-            side=self.side, scheme=WORKLOADS["service_n1000"]["params"]["scheme"],
+            side=self.side, scheme=p["scheme"],
+            snapshot_every=p["snapshot_every"],
             data_dir=self.ctx.fresh_dir("svc-"),
         )
         self.svc = BackboneService(cfg)
-        await self.svc.add_tenant(
-            self.NAME, seed_positions(self.ctx.seed, 0, self.hosts, self.side)
-        )
-        view = await self.svc.get_backbone(self.NAME, deadline_s=60.0)
-        return view.seq == 0 and not view.stale
+        ok = True
+        for i, name in enumerate(self.names):
+            await self.svc.add_tenant(
+                name, seed_positions(self.ctx.seed, i, self.hosts, self.side)
+            )
+            view = await self.svc.get_backbone(name, deadline_s=60.0)
+            ok &= view.seq == 0 and not view.stale
+        return ok
 
-    def stream(self):
+    def stream(self, i: int):
         from repro.service.driver import tenant_seed
         from repro.service.updates import UpdateStream
 
         return UpdateStream(
-            seed=tenant_seed(self.ctx.seed, 0), n_initial=self.hosts,
+            seed=tenant_seed(self.ctx.seed, i), n_initial=self.hosts,
             side=self.side,
         )
 
-    async def burst(self, updates) -> float:
+    async def burst(self, name: str, updates) -> float:
         """Submit ``updates`` at once; seconds until all are published."""
-        target = self.svc.stats(self.NAME)["seq"] + len(updates)
+        target = self.svc.stats(name)["seq"] + len(updates)
         t0 = time.perf_counter()
         for upd in updates:
-            self.svc.submit_nowait(self.NAME, upd)
-        await self.svc.wait_seq(self.NAME, target, deadline_s=600.0)
+            self.svc.submit_nowait(name, upd)
+        await self.svc.wait_seq(name, target, deadline_s=600.0)
         return time.perf_counter() - t0
 
-    async def open_loop(self, updates, update_rate: float, query_rate: float,
-                        duration_s: float) -> dict:
+    async def open_loop(self, name: str, updates, update_rate: float,
+                        query_rate: float, duration_s: float) -> dict:
         """Updates and queries on fixed schedules, timed from due times.
 
         Update ``k`` is due at ``k / update_rate``, query ``j`` at
         ``j / query_rate``.  A watcher stamps the moment a published view
         covers each update.
         """
-        svc, name = self.svc, self.NAME
+        svc = self.svc
         seq0 = svc.stats(name)["seq"]
         base = time.perf_counter() + 0.05
         due = [base + k / update_rate for k in range(len(updates))]
@@ -475,50 +490,65 @@ async def _service(ctx: Ctx) -> Outcome:
     p = WORKLOADS["service_n1000"]["params"]
     hosts, side = p["hosts"], scaled_side(p["hosts"])
 
-    async def set_up() -> tuple[_Tenant, bool, float]:
+    async def set_up() -> tuple[_Service, bool, float]:
         t0 = time.perf_counter()
-        tenant = _Tenant(ctx, hosts, side)
-        ok = await tenant.start()
-        return tenant, ok, time.perf_counter() - t0
+        service = _Service(ctx, p["tenants"], hosts, side)
+        ok = await service.start()
+        return service, ok, time.perf_counter() - t0
 
-    tenant, first_ok, dt = await set_up()
+    service, first_ok, dt = await set_up()
     setup_samples = [dt]
 
-    # the burst is split into two halves, before and after the open loop,
-    # so the capacity figure spans two moments of the run
-    n_half = max(1, int(p["burst_updates_per_run_second"] * ctx.seconds / 2))
-    duration = ctx.seconds * p["open_loop_share_of_seconds"]
-    n_open = max(1, int(round(p["open_loop_update_rate_per_s"] * duration)))
-    stream = tenant.stream()
-    burst_a, open_, burst_b = stream.take(n_half), stream.take(n_open), \
-        stream.take(n_half)
+    # the run alternates capacity bursts with open-loop segments, so both
+    # kinds of sample are spread over the whole run.  Capacity is taken
+    # over all bursts together: a burst holds about a dozen updates, and
+    # its share of cheap drains swings its own rate by half.  Cycle c
+    # drives tenant c % tenants alone; a move's cost differs by some 12%
+    # between placements, so one tenant would make the figures follow
+    # the seed's single placement
+    cycles, names = p["cycles"], service.names
+    n_burst = max(1, round(
+        p["burst_updates_per_run_second"] * ctx.seconds / cycles))
+    rate = p["open_loop_update_rate_per_s"]
+    n_open = max(1, round(
+        rate * ctx.seconds * p["open_loop_share_of_seconds"] / cycles))
+    streams = [service.stream(i) for i in range(len(names))]
+    plan = [
+        (c % len(names), streams[c % len(names)].take(n_burst),
+         streams[c % len(names)].take(n_open))
+        for c in range(cycles)
+    ]
 
-    burst_s = await tenant.burst(burst_a)
+    burst_s = [await service.burst(names[0], plan[0][1])]
     traced = None
     if ctx.trace:
-        # the untraced first half above is the reference; the same half on
-        # a fresh tenant is traced, and the run continues on that one
-        reference_s = burst_s
-        await tenant.close()
-        del tenant
+        # the untraced first burst above is the reference; the same burst
+        # on a fresh service is traced, and the run continues on that one
+        reference_s = burst_s.pop()
+        await service.close()
+        del service
         gc.collect()
-        tenant = (await set_up())[0]
+        service = (await set_up())[0]
         traced = Traced()
+    res: dict = {}
     with traced or contextlib.nullcontext():
-        if traced is not None:
-            t_burst0 = time.perf_counter()
-            burst_s = await tenant.burst(burst_a)
-            window = (t_burst0, time.perf_counter())
-        res = await tenant.open_loop(
-            open_, p["open_loop_update_rate_per_s"],
-            p["open_loop_query_rate_per_s"], duration,
-        )
-        burst_s += await tenant.burst(burst_b)
+        for c, (i, burst, open_) in enumerate(plan):
+            if c or traced is not None:
+                t_burst0 = time.perf_counter()
+                burst_s.append(await service.burst(names[i], burst))
+                if c == 0:
+                    window = (t_burst0, time.perf_counter())
+            seg = await service.open_loop(
+                names[i], open_, rate, p["open_loop_query_rate_per_s"],
+                n_open / rate,
+            )
+            for key, val in seg.items():
+                res[key] = res.get(key, 0 if isinstance(val, int) else []) + val
     rss = peak_rss_mb()
-    stats = tenant.svc.stats(tenant.NAME)
-    digest = tenant.svc.state_digest(tenant.NAME)
-    await tenant.close()
-    del tenant
+    stats = [service.svc.stats(name) for name in names]
+    digests = [service.svc.state_digest(name) for name in names]
+    await service.close()
+    del service
     # the other set-up samples come after the RSS reading, each on a
     # fresh service that is closed and collected before the next one
     for _ in range(SETUP_REPEATS - 1):
@@ -529,32 +559,34 @@ async def _service(ctx: Ctx) -> Outcome:
         await spare.close()
         del spare
 
-    # an unjournaled in-memory replay of the stream must land on the
-    # service's state digest; degraded publishes count as failures
-    updates = burst_a + open_ + burst_b
-    replay = TenantState(radius=25.0, side=side, scheme=p["scheme"])
-    replay.seed_population(seed_positions(ctx.seed, 0, hosts, side))
-    for upd in updates:
-        replay.apply(upd)
-    failed = (
-        res["publish_bad"] + res["query_bad"] + stats["stale_publishes"]
-        + stats["rejected_publishes"] + stats["recompute_timeouts"]
-        + stats["recompute_failures"] + stats["shed"]
+    # an unjournaled in-memory replay of each tenant's stream must land on
+    # the service's state digest; degraded publishes count as failures
+    failed = res["publish_bad"] + res["query_bad"] + sum(
+        st["stale_publishes"] + st["rejected_publishes"]
+        + st["recompute_timeouts"] + st["recompute_failures"] + st["shed"]
+        for st in stats
     )
-    if replay.digest() != digest or stats["seq"] != len(updates) or not first_ok:
-        failed += len(updates)
-    n_burst = len(burst_a) + len(burst_b)
+    for i in range(len(names)):
+        updates = [u for j, b, o in plan if j == i for u in b + o]
+        replay = TenantState(radius=25.0, side=side, scheme=p["scheme"])
+        replay.seed_population(seed_positions(ctx.seed, i, hosts, side))
+        for upd in updates:
+            replay.apply(upd)
+        if (replay.digest() != digests[i] or stats[i]["seq"] != len(updates)
+                or not first_ok):
+            failed += len(updates)
+    updates = n_burst * cycles + n_open * cycles
     out = Outcome(
         setup_samples=setup_samples,
-        updates_per_s=n_burst / burst_s,
+        updates_per_s=n_burst * cycles / sum(burst_s),
         update_samples_s=res["publish_s"],
         peak_rss_mb=rss,
-        attempted=len(updates) + len(res["query_s"]),
-        checks=len(updates) + len(res["query_s"]),
+        attempted=updates + len(res["query_s"]),
+        checks=updates + len(res["query_s"]),
         failed=int(failed),
     )
     samples = {
-        "burst_updates": n_burst, "open_loop_updates": len(open_),
+        "burst_updates": n_burst * cycles, "open_loop_updates": n_open * cycles,
         "queries": len(res["query_s"]),
         "query_p99_ms": float(np.percentile(res["query_s"], 99) * 1e3),
         "gen_late_p99_ms": float(np.percentile(res["late_s"], 99) * 1e3),
