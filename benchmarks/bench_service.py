@@ -14,7 +14,9 @@ Two jobs, one file (mirroring ``bench_executor.py``):
   starts a journaled ``repro serve`` in a subprocess, SIGKILLs the whole
   process group mid-update-stream, re-runs the same command, and asserts
   the recovered final states are **bit-identical** (sha256 state
-  digests) to an uninterrupted in-process reference run.
+  digests) to an uninterrupted in-process reference run.  It then pushes
+  one journaled burst of queued updates and asserts the service paid a
+  single publish for it, landing on the digest of an unjournaled replay.
 """
 
 from __future__ import annotations
@@ -33,9 +35,17 @@ try:
 except ImportError:  # plain-script mode without an installed package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro import obs
 from repro.service import ServiceConfig
-from repro.service.driver import bench_service, drive_tenants
+from repro.service.driver import (
+    bench_service,
+    drive_tenants,
+    seed_positions,
+    tenant_seed,
+)
 from repro.service.server import BackboneService
+from repro.service.state import TenantState
+from repro.service.updates import UpdateStream
 
 _SEED = 2001
 
@@ -213,6 +223,42 @@ def _smoke() -> int:
     return 0
 
 
+_BURST = 10
+
+
+def _burst_smoke() -> None:
+    """One journaled burst of queued updates: one publish, exact state."""
+    positions = seed_positions(_SEED, 0, _SMOKE_HOSTS, 100.0)
+    updates = UpdateStream(
+        seed=tenant_seed(_SEED, 0), n_initial=_SMOKE_HOSTS
+    ).take(_BURST)
+
+    async def go() -> tuple[float, str]:
+        with tempfile.TemporaryDirectory() as d:
+            service = BackboneService(ServiceConfig(data_dir=d))
+            try:
+                with obs.capture() as reg:
+                    await service.add_tenant("t", positions)
+                    await service.get_backbone("t", deadline_s=60.0)
+                    before = reg.counters["service.publishes"]
+                    for upd in updates:
+                        service.submit_nowait("t", upd)
+                    await service.wait_seq("t", _BURST, deadline_s=60.0)
+                grew = reg.counters["service.publishes"] - before
+                return grew, service.state_digest("t")
+            finally:
+                await service.close()
+
+    grew, digest = asyncio.run(go())
+    assert grew == 1, f"a queued burst of {_BURST} cost {grew} publishes"
+    replay = TenantState()
+    replay.seed_population(positions)
+    for upd in updates:
+        replay.apply(upd)
+    assert digest == replay.digest(), "journaled burst diverged from replay"
+    print(f"smoke ok: a queued burst of {_BURST} updates cost one publish")
+
+
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
@@ -224,7 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     if not args.smoke:
         p.error("run under pytest for timings, or pass --smoke")
-    return _smoke()
+    _smoke()
+    _burst_smoke()
+    return 0
 
 
 if __name__ == "__main__":

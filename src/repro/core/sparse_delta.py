@@ -480,6 +480,7 @@ class IncrementalSparseCDSPipeline:
         if obs.enabled():
             obs.count("cds.computed")
             obs.add("cds.size", result.size)
+            obs.add("scds.rounds", rounds)
         return result
 
     def _adjacency_rows(self, graph) -> list[int]:

@@ -32,6 +32,7 @@ from repro.obs.registry import (
     disable,
     enable,
     enabled,
+    gauge_max,
     get_registry,
     isolated_capture,
     reset,
@@ -49,6 +50,7 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
+    "gauge_max",
     "get_registry",
     "isolated_capture",
     "reset",

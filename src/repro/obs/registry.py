@@ -45,6 +45,7 @@ __all__ = [
     "span",
     "count",
     "add",
+    "gauge_max",
     "timed",
     "capture",
     "isolated_capture",
@@ -125,6 +126,11 @@ class Registry:
                         "t": time.perf_counter() - self.t0,
                     }
                 )
+
+    def raise_counter(self, name: str, value: float) -> None:
+        with self._lock:
+            if value > self.counters.get(name, float("-inf")):
+                self.counters[name] = value
 
     def record_span(self, path: str, t_enter: float, dur_s: float) -> None:
         with self._lock:
@@ -306,6 +312,18 @@ def count(name: str, n: int = 1) -> None:
     if not _enabled:
         return
     get_registry().add_counter(name, n, current_path())
+
+
+def gauge_max(name: str, value: float) -> None:
+    """Raise counter ``name`` to ``value`` if it is higher (no-op when
+    disabled).
+
+    A high-water mark within one registry; :meth:`Registry.merge` adds
+    counters, so it does not combine gauges across processes.
+    """
+    if not _enabled:
+        return
+    get_registry().raise_counter(name, value)
 
 
 def timed(name: str) -> Callable:

@@ -234,15 +234,17 @@ class _TenantCtx:
         self.journal = journal
         self.pipeline = pipeline
         self.checker = checker
-        #: FIFO of (durable_seq | None, update) — the tag marks a requeued
-        #: update that may already be WAL'd (skip if <= state.seq).
-        self.queue: deque[tuple[int | None, Update]] = deque()
+        #: FIFO of updates not yet journaled.
+        self.queue: deque[Update] = deque()
         self.not_empty = asyncio.Event()
         self.space = asyncio.Event()
         self.space.set()
         self.published: BackboneView | None = None
         self.first_publish = asyncio.Event()
         self.progress = asyncio.Event()
+        #: last seq whose batch went through recompute and the publish
+        #: gate; what :meth:`BackboneService.wait_seq` waits on.
+        self.settled_seq = state.seq
         self.quarantined = False
         #: set when an incarnation died mid-update: the next one must
         #: rebuild state from the journal before touching the queue.
@@ -362,7 +364,7 @@ class BackboneService:
                 tenant=tenant,
                 queued=len(ctx.queue),
             )
-        self._enqueue(ctx, (None, update))
+        self._enqueue(ctx, update)
 
     async def submit(
         self, tenant: str, update: Update, *, deadline_s: float | None = None
@@ -378,7 +380,7 @@ class BackboneService:
                     failures=self.supervisor.health(tenant).failures,
                 )
             if len(ctx.queue) < self.config.queue_high_water:
-                self._enqueue(ctx, (None, update))
+                self._enqueue(ctx, update)
                 return
             ctx.space.clear()
             remaining = None
@@ -397,14 +399,19 @@ class BackboneService:
                     tenant=tenant, deadline_s=deadline_s or 0.0,
                 ) from None
 
-    def _enqueue(self, ctx: _TenantCtx, item: tuple[int | None, Update]) -> None:
-        ctx.queue.append(item)
+    def _enqueue(self, ctx: _TenantCtx, update: Update) -> None:
+        ctx.queue.append(update)
         ctx.not_empty.set()
 
     # -- maintenance ---------------------------------------------------------
 
     async def _maintain(self, name: str) -> None:
-        """One incarnation of a tenant's maintenance task (supervised)."""
+        """One incarnation of a tenant's maintenance task (supervised).
+
+        Updates are drained in batches: each one is journaled and applied
+        on its own, in FIFO order, and the backbone is recomputed and
+        gated once for whatever was queued.
+        """
         ctx = self._tenants[name]
         if ctx.needs_recovery and ctx.journal is not None:
             recovered = ctx.journal.recover()
@@ -417,6 +424,8 @@ class BackboneService:
         if ctx.published is None or ctx.published.seq != ctx.state.seq:
             # cold start / post-recovery: publish a verified baseline
             await self._recompute_and_publish(ctx)
+        # updates a crashed incarnation applied count as progress here
+        self._settle(ctx)
         while True:
             while not ctx.queue:
                 ctx.not_empty.clear()
@@ -424,45 +433,75 @@ class BackboneService:
             # cooperative yield: without it a full queue + inline recompute
             # would monopolize the event loop and starve query tasks
             await asyncio.sleep(0)
-            tag, upd = ctx.queue.popleft()
-            if len(ctx.queue) < self.config.queue_high_water:
-                ctx.space.set()
-            if tag is not None and tag <= ctx.state.seq:
-                continue  # requeued update that recovery already replayed
-            k = ctx.state.seq + 1
-            appended = False
             try:
-                if self.chaos is not None:
-                    await self.chaos.before_apply(name, k)
-                if ctx.journal is not None:
-                    ctx.journal.append(k, upd)
-                    appended = True
-                ctx.state.apply(upd)
-                if self.chaos is not None:
-                    await self.chaos.after_apply(name, k)
+                await self._apply_queued(ctx)
                 await self._recompute_and_publish(ctx)
-                if (
-                    ctx.journal is not None
-                    and k % self.config.snapshot_every == 0
-                ):
-                    path = ctx.journal.snapshot(ctx.state)
-                    if self.chaos is not None:
-                        self.chaos.on_snapshot(name, k, path)
-                ctx.counters["applied"] += 1
-                if obs.enabled():
-                    obs.count("service.updates_applied")
-                self.supervisor.note_progress(name)
-                ctx.progress.set()
             except Exception:
-                # the incarnation dies; decide what the next one sees.
-                # Durable (appended) updates are replayed by recovery; a
-                # lost in-flight update goes back to the queue front.
-                if ctx.state.seq < k and not appended:
-                    ctx.queue.appendleft((None, upd))
-                    ctx.not_empty.set()
+                # the incarnation dies; durable updates are replayed by
+                # recovery
                 if ctx.journal is not None:
                     ctx.needs_recovery = True
                 raise
+            if obs.enabled():
+                obs.count("service.batches")
+                obs.gauge_max(
+                    "service.batch_size_max", ctx.state.seq - ctx.settled_seq
+                )
+            self._settle(ctx)
+
+    def _settle(self, ctx: _TenantCtx) -> None:
+        """Account the updates that just went through the publish gate
+        and wake :meth:`wait_seq` waiters."""
+        applied = ctx.state.seq - ctx.settled_seq
+        ctx.settled_seq = ctx.state.seq
+        if applied:
+            ctx.counters["applied"] += applied
+            if obs.enabled():
+                obs.count("service.updates_applied", applied)
+            self.supervisor.note_progress(ctx.name)
+        ctx.progress.set()
+
+    async def _apply_queued(self, ctx: _TenantCtx) -> None:
+        """Journal and apply every queued update.
+
+        Items are popped one at a time, so a crash leaves the rest of the
+        batch queued.
+        """
+        cfg = self.config
+        chaos = self.chaos
+        wal_s = apply_s = 0.0
+        while ctx.queue:
+            upd = ctx.queue.popleft()
+            if len(ctx.queue) < cfg.queue_high_water:
+                ctx.space.set()
+            k = ctx.state.seq + 1
+            appended = False
+            try:
+                if chaos is not None:
+                    await chaos.before_apply(ctx.name, k)
+                t0 = time.perf_counter()
+                if ctx.journal is not None:
+                    ctx.journal.append(k, upd)
+                    appended = True
+                t1 = time.perf_counter()
+                ctx.state.apply(upd)
+                apply_s += time.perf_counter() - t1
+                wal_s += t1 - t0
+                if chaos is not None:
+                    await chaos.after_apply(ctx.name, k)
+                if ctx.journal is not None and k % cfg.snapshot_every == 0:
+                    path = ctx.journal.snapshot(ctx.state)
+                    if chaos is not None:
+                        chaos.on_snapshot(ctx.name, k, path)
+            except Exception:
+                # a lost in-flight update goes back to the queue front
+                if ctx.state.seq < k and not appended:
+                    ctx.queue.appendleft(upd)
+                    ctx.not_empty.set()
+                raise
+        if obs.enabled():
+            obs.add("service.wal_append_s", wal_s)
+            obs.add("service.apply_s", apply_s)
 
     async def _recompute_and_publish(self, ctx: _TenantCtx) -> None:
         """Recompute the backbone; publish only if the gate passes.
@@ -514,10 +553,11 @@ class BackboneService:
                 obs.count("service.recompute_failures")
             ctx.mark_stale()
             return
-        if obs.enabled():
-            obs.add("service.recompute_s", time.perf_counter() - t0)
-
+        t1 = time.perf_counter()
         report = ctx.checker.check(adj, mask)
+        if obs.enabled():
+            obs.add("service.recompute_s", t1 - t0)
+            obs.add("service.verify_s", time.perf_counter() - t1)
         ctx.last_report = report
         if report.alarm:
             ctx.counters["alarms"] += 1
@@ -609,33 +649,38 @@ class BackboneService:
     async def wait_seq(
         self, tenant: str, seq: int, *, deadline_s: float | None = None
     ) -> None:
-        """Block until the tenant has applied (at least) update ``seq``."""
+        """Block until the tenant has applied (at least) update ``seq``.
+
+        Returns once the batch holding ``seq`` has been recomputed and
+        gated, so the view a caller reads next covers ``seq`` unless that
+        publish degraded (then the view is stamped stale).
+        """
         ctx = self._ctx(tenant)
         start = time.monotonic()
-        while ctx.state.seq < seq:
+        while ctx.settled_seq < seq:
             if ctx.quarantined:
                 raise TenantQuarantinedError(
-                    f"quarantined at seq {ctx.state.seq} before reaching "
+                    f"quarantined at seq {ctx.settled_seq} before reaching "
                     f"{seq}",
                     tenant=tenant,
                     failures=self.supervisor.health(tenant).failures,
                 )
             ctx.progress.clear()
-            if ctx.state.seq >= seq:  # re-check after clear (no lost wakeup)
+            if ctx.settled_seq >= seq:  # re-check after clear (no lost wakeup)
                 return
             remaining = None
             if deadline_s is not None:
                 remaining = deadline_s - (time.monotonic() - start)
                 if remaining <= 0:
                     raise DeadlineExceeded(
-                        f"tenant stuck at seq {ctx.state.seq} < {seq}",
+                        f"tenant stuck at seq {ctx.settled_seq} < {seq}",
                         tenant=tenant, deadline_s=deadline_s,
                     )
             try:
                 await asyncio.wait_for(ctx.progress.wait(), remaining)
             except (asyncio.TimeoutError, TimeoutError):
                 raise DeadlineExceeded(
-                    f"tenant stuck at seq {ctx.state.seq} < {seq}",
+                    f"tenant stuck at seq {ctx.settled_seq} < {seq}",
                     tenant=tenant, deadline_s=deadline_s or 0.0,
                 ) from None
 

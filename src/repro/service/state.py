@@ -123,33 +123,38 @@ class TenantState:
     def _join(self, u: Join) -> int:
         if u.node in self._index:
             raise TopologyError(f"join of existing node {u.node}")
-        self._index[u.node] = len(self.ids)
+        v = self.n
+        self._index[u.node] = v
         self.ids.append(u.node)
         self.positions = np.vstack(
             [self.positions, np.array([[u.x, u.y]], dtype=np.float64)]
         )
         self.energy.append(float(u.energy))
-        self._adj = unit_disk_adjacency(self.positions, self.radius)
+        row = self._disk_row(v)
+        self._adj.append(row)
+        for w in bitset.iter_bits(row):
+            self._adj[w] |= 1 << v
         return (1 << self.n) - 1
 
     def _leave(self, u: Leave) -> int:
         v = self.index_of(u.node)
+        del self._index[u.node]
         self.ids.pop(v)
+        for i in range(v, self.n):
+            self._index[self.ids[i]] = i
         self.positions = np.delete(self.positions, v, axis=0)
         self.energy.pop(v)
-        self._index = {node: i for i, node in enumerate(self.ids)}
-        self._adj = unit_disk_adjacency(self.positions, self.radius)
+        # drop row v and bit v, shifting the higher bits down one place
+        del self._adj[v]
+        low = (1 << v) - 1
+        self._adj = [(r & low) | ((r >> (v + 1)) << v) for r in self._adj]
         return (1 << self.n) - 1 if self.n else 0
 
     def _move(self, u: Move) -> int:
         v = self.index_of(u.node)
         self.positions[v, 0] = float(u.x)
         self.positions[v, 1] = float(u.y)
-        diff = self.positions - self.positions[v]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        within = d2 <= self.radius * self.radius
-        within[v] = False
-        new_row = bitset.mask_from_ids(np.flatnonzero(within).tolist())
+        new_row = self._disk_row(v)
         old_row = self._adj[v]
         flipped = new_row ^ old_row
         if not flipped:
@@ -158,6 +163,14 @@ class TenantState:
         for u_idx in bitset.iter_bits(flipped):
             self._adj[u_idx] ^= 1 << v
         return flipped | (1 << v)
+
+    def _disk_row(self, v: int) -> int:
+        """Unit-disk neighborhood of dense index ``v`` at current positions."""
+        diff = self.positions - self.positions[v]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        within = d2 <= self.radius * self.radius
+        within[v] = False
+        return bitset.mask_from_ids(np.flatnonzero(within).tolist())
 
     def _drain(self, u: Drain) -> int:
         v = self.index_of(u.node)

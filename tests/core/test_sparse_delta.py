@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.cds import compute_cds
 from repro.core.sparse import CSRBatch, SparseCDSPipeline
 from repro.core.sparse_delta import IncrementalSparseCDSPipeline, sub_csr
@@ -99,6 +100,22 @@ class TestShortCircuit:
             mask = res.gateway_mask
             for v in range(50):
                 energy[v] -= 3.0 if (mask >> v) & 1 else 1.0
+
+
+class TestCounters:
+    def test_rounds_counter_reports_each_computed_result(self, rng):
+        net = random_connected_network(50, side=100.0, radius=25.0, rng=rng)
+        energy = np.full(50, 100.0)
+        pipe = IncrementalSparseCDSPipeline("el2")
+        with obs.capture() as reg:
+            cold = pipe.compute(net, energy=list(energy))
+            energy[0] -= 5.0
+            warm = pipe.compute(net, energy=list(energy))
+        assert warm is not cold
+        assert cold.stats.rounds > 0
+        assert reg.counters["scds.rounds"] == (
+            cold.stats.rounds + warm.stats.rounds
+        )
 
 
 class TestChurnAndRestart:

@@ -33,6 +33,7 @@ class TestEnableDisable:
     def test_counters_are_noops_when_disabled(self):
         obs.count("x")
         obs.add("y", 10)
+        obs.gauge_max("z", 3)
         assert obs.get_registry().counters == {}
 
     def test_disabled_span_is_shared_noop(self):
@@ -53,6 +54,12 @@ class TestCounters:
         c = obs.get_registry().counters
         assert c["hits"] == 5
         assert c["bytes"] == 2.5
+
+    def test_gauge_max_keeps_the_high_water_mark(self):
+        obs.enable()
+        for value in (3, 10, 4):
+            obs.gauge_max("batch", value)
+        assert obs.get_registry().counters["batch"] == 10
 
     def test_counters_attributed_to_innermost_span(self):
         obs.enable()

@@ -12,6 +12,8 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.core.cds import compute_cds
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -135,6 +137,101 @@ class TestPublishAndQuery:
                 await service.close()
 
         asyncio.run(go())
+
+
+class TestCoalescedBatches:
+    def test_queued_burst_costs_one_publish(self):
+        async def go():
+            service = BackboneService(ServiceConfig())
+            try:
+                with obs.capture() as reg:
+                    await service.add_tenant("net", _positions())
+                    await service.get_backbone("net", deadline_s=5.0)
+                    baseline = reg.counters["service.publishes"]
+                    # no await between submissions: all ten are queued
+                    # before the maintenance task runs
+                    for upd in _stream().take(10):
+                        service.submit_nowait("net", upd)
+                    await service.wait_seq("net", 10, deadline_s=60.0)
+                assert reg.counters["service.publishes"] == baseline + 1
+                assert reg.counters["service.batches"] == 1
+                assert reg.counters["service.batch_size_max"] == 10
+                assert reg.counters["service.updates_applied"] == 10
+                view = await service.get_backbone("net")
+                assert view.seq == 10 and not view.stale
+                state = service._tenants["net"].state
+                want = compute_cds(
+                    state.adjacency, state.scheme, energy=state.energy
+                )
+                assert view.gateway_mask == want.gateway_mask
+                assert service.stats("net")["applied"] == 10
+            finally:
+                await service.close()
+
+        asyncio.run(go())
+
+    def test_wait_seq_never_runs_ahead_of_the_published_view(self):
+        async def go():
+            # every recompute is slowed, and the inline path sleeps on
+            # the event loop: waiters run while the batch is unpublished
+            chaos = ChaosSchedule(
+                FaultPlan(seed=5, delay=0.99), base_delay_s=0.002
+            )
+            service = BackboneService(ServiceConfig(), chaos=chaos)
+            try:
+                await service.add_tenant("net", _positions())
+                await service.get_backbone("net", deadline_s=5.0)
+                behind = []
+
+                async def watcher(k):
+                    await service.wait_seq("net", k, deadline_s=60.0)
+                    view = await service.get_backbone("net")
+                    if view.seq < k or view.stale:
+                        behind.append(k)
+
+                watchers = [
+                    asyncio.create_task(watcher(k)) for k in range(1, 21)
+                ]
+                stream = _stream()
+                for _ in range(4):
+                    for upd in stream.take(5):
+                        service.submit_nowait("net", upd)
+                    await asyncio.sleep(0.001)
+                await asyncio.gather(*watchers)
+                assert behind == []
+            finally:
+                await service.close()
+
+        asyncio.run(go())
+
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_crash_inside_a_queued_burst_recovers(self, tmp_path, journaled):
+        async def go():
+            service = BackboneService(
+                ServiceConfig(
+                    restart=_FAST_RESTART,
+                    data_dir=tmp_path if journaled else None,
+                    snapshot_every=3,
+                ),
+                chaos=ChaosSchedule(pinned={"t": 5}),
+            )
+            try:
+                await service.add_tenant("t", _positions())
+                for upd in _stream().take(10):
+                    service.submit_nowait("t", upd)
+                await service.wait_seq("t", 10, deadline_s=60.0)
+                view = await service.get_backbone("t")
+                assert view.seq == 10 and not view.stale
+                stats = service.stats("t")
+                # updates 1-4 survived the crash, 5 was requeued: each of
+                # the ten landed exactly once
+                assert stats["restarts"] == 1
+                assert stats["seq"] == stats["applied"] == 10
+                return service.state_digest("t")
+            finally:
+                await service.close()
+
+        assert asyncio.run(go()) == asyncio.run(_clean_digest(10))
 
 
 class TestOverloadAndDeadlines:

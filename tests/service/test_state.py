@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.graphs import bitset
+from repro.graphs.unitdisk import unit_disk_adjacency
 from repro.service.state import TenantState
 from repro.service.updates import Drain, Join, Leave, Move, UpdateStream
 
@@ -103,6 +105,32 @@ class TestReplayPurity:
             st.apply(upd)
             back.apply(upd)
         assert back.digest() == st.digest()
+
+
+class TestIncrementalAdjacency:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(3, 40),
+        steps=st.integers(1, 60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_patched_adjacency_equals_full_rebuild(self, seed, n, steps):
+        updates = UpdateStream(
+            seed=seed, n_initial=n, p_move=0.4, p_drain=0.2, p_churn=0.4
+        ).take(steps)
+        assume(any(isinstance(u, Join) for u in updates))
+        assume(any(isinstance(u, Leave) for u in updates))
+        state = TenantState(radius=30.0, side=100.0)
+        rng = np.random.default_rng(seed)
+        state.seed_population(rng.uniform(0, 100, size=(n, 2)))
+        for upd in updates:
+            state.apply(upd)
+            assert state.adjacency == unit_disk_adjacency(
+                state.positions, state.radius
+            )
+        back = TenantState.from_dict(state.to_dict())
+        assert back.digest() == state.digest()
+        assert back.adjacency == state.adjacency
 
 
 class TestValidation:
