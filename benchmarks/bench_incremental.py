@@ -29,6 +29,11 @@ Also runnable as a plain script for CI::
 
 which asserts delta == scratch masks on a seeded 100-host trial for all
 five schemes and fails if the incremental path is slower at stability 0.9.
+It then replays service churn: one N = 1000 :class:`UpdateStream` tenant
+(moves, drains, joins, leaves) driven through :class:`DeltaCDSPipeline`
+with ``ids``, so membership changes are spliced.  Every mask must equal
+:func:`compute_cds`, and a single-move compute must beat a cold compute
+on the same state.
 """
 
 from __future__ import annotations
@@ -289,8 +294,85 @@ def _smoke(seed: int, intervals: int) -> int:
     if t_inc >= t_scr:
         print("FAIL: incremental pipeline is slower than scratch")
         return 1
+    if _churn_smoke(seed):
+        return 1
     print("smoke ok")
     return 0
+
+
+def _churn_smoke(seed: int, hosts: int = 1000, batches: int = 24) -> int:
+    """Service churn through the spliced delta path; 0 on success."""
+    from types import SimpleNamespace
+
+    from repro import obs
+    from repro.graphs.generators import scaled_side
+    from repro.service.driver import seed_positions, tenant_seed
+    from repro.service.state import TenantState
+    from repro.service.updates import Join, Leave, Move, UpdateStream
+
+    side = scaled_side(hosts)
+    state = TenantState(radius=RADIUS, side=side, scheme="el2")
+    state.seed_population(seed_positions(seed, 0, hosts, side))
+    stream = UpdateStream(
+        seed=tenant_seed(seed, 0), n_initial=hosts, side=side, p_move=0.6,
+        p_drain=0.2, p_churn=0.2,
+    )
+
+    def snapshot():
+        return SimpleNamespace(
+            adjacency=list(state.adjacency), ids=tuple(state.ids)
+        )
+
+    pipe = DeltaCDSPipeline("el2")
+    kinds: set[type] = set()
+    with obs.capture() as reg:
+        for b in range(batches):
+            for upd in stream.take(10 if b % 2 else 1):
+                kinds.add(type(upd))
+                state.apply(upd)
+            got = pipe.compute(snapshot(), list(state.energy))
+            want = compute_cds(
+                list(state.adjacency), "el2", energy=list(state.energy)
+            )
+            if got.gateway_mask != want.gateway_mask or got.stats != want.stats:
+                print(f"FAIL: churn batch {b} diverged from compute_cds")
+                return 1
+    splices = reg.counters.get("delta.splices", 0)
+    colds = reg.counters.get("delta.cold_starts", 0)
+    print(
+        f"churn equivalence ok: N={hosts}, {batches} batches, "
+        f"{int(splices)} splices, {int(colds)} cold start(s)"
+    )
+    if not {Join, Leave} <= kinds or not splices or colds != 1:
+        print("FAIL: churn replay did not splice its joins and leaves")
+        return 1
+
+    cold = min(
+        _timed(DeltaCDSPipeline("el2").compute, snapshot(), state.energy)
+        for _ in range(3)
+    )
+    pipe.compute(snapshot(), list(state.energy))
+    moves = []
+    for k in range(7):
+        v = (97 * k) % state.n
+        x, y = state.positions[v]
+        state.apply(Move(state.ids[v], float(x), float(min(y + 5.0, side))))
+        moves.append(_timed(pipe.compute, snapshot(), list(state.energy)))
+    move = float(np.median(moves))
+    print(
+        f"N={hosts} el2: one move {move * 1e3:.1f} ms vs cold "
+        f"{cold * 1e3:.1f} ms ({cold / move:.1f}x)"
+    )
+    if move >= cold:
+        print("FAIL: a single-move compute is not faster than a cold one")
+        return 1
+    return 0
+
+
+def _timed(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
 
 
 def main(argv: list[str] | None = None) -> int:

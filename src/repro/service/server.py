@@ -36,7 +36,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
@@ -216,6 +216,15 @@ class BackboneView:
             path.append(self.ids[v])
             v = prev[v]
         return path[::-1]
+
+
+class _Topology(NamedTuple):
+    """What a recompute reads: the rows plus the external id of each row,
+    so the delta pipeline can splice joins and leaves instead of starting
+    cold (every pipeline duck-types ``.adjacency``)."""
+
+    adjacency: tuple[int, ...]
+    ids: tuple[int, ...]
 
 
 class _TenantCtx:
@@ -513,7 +522,8 @@ class BackboneService:
         """
         cfg = self.config
         state = ctx.state
-        adj = list(state.adjacency)
+        topo = _Topology(tuple(state.adjacency), tuple(state.ids))
+        adj = topo.adjacency
         energy = list(state.energy)
         seq = state.seq
         delay_s = 0.0
@@ -524,7 +534,7 @@ class BackboneService:
         def work() -> int:
             if delay_s > 0.0:
                 time.sleep(delay_s)
-            return pipeline.compute(adj, energy).gateway_mask
+            return pipeline.compute(topo, energy).gateway_mask
 
         t0 = time.perf_counter()
         try:
@@ -576,8 +586,8 @@ class BackboneService:
             tenant=ctx.name,
             seq=seq,
             gateway_mask=mask,
-            adjacency=tuple(adj),
-            ids=tuple(state.ids),
+            adjacency=adj,
+            ids=topo.ids,
             stale=False,
             alarm=report.alarm,
         )

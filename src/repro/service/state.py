@@ -101,8 +101,9 @@ class TenantState:
         """Apply one update; returns the bitmask of adjacency rows changed.
 
         Membership changes (join/leave) renumber indices, so they report
-        *all* rows changed; callers treat that as a pipeline cold start
-        (the cached engine resets on a size change anyway).  Invalid
+        *all* rows changed.  A join appends and a leave keeps the
+        survivors' relative order, which is what lets the delta pipeline
+        splice either into its cached state by external id.  Invalid
         updates (joining a member, moving a ghost) raise — deliberately:
         a tenant feeding garbage is exactly what the supervisor's
         quarantine escalation is for.

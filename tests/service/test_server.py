@@ -8,6 +8,7 @@ inside a plain test function.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from repro.faults.plan import FaultPlan
 from repro.service import BackboneService, ServiceConfig
 from repro.service.chaos import ChaosSchedule
 from repro.service.driver import seed_positions, tenant_seed
+from repro.service.state import TenantState
 from repro.service.supervisor import RestartPolicy
-from repro.service.updates import Move, UpdateStream
+from repro.service.updates import Drain, Join, Leave, Move, UpdateStream
 
 _HOSTS = 16
 _SEED = 2001
@@ -232,6 +234,135 @@ class TestCoalescedBatches:
                 await service.close()
 
         assert asyncio.run(go()) == asyncio.run(_clean_digest(10))
+
+
+#: one coalesced batch with a join and a leave among moves and a drain
+_CHURN_BURST = [
+    Move(3, 40.0, 40.0),
+    Leave(5),
+    Drain(2, 7.5),
+    Join(100, 55.0, 45.0, energy=80.0),
+    Move(9, 20.0, 70.0),
+    Leave(11),
+]
+
+
+def _replay_digest(updates) -> str:
+    state = TenantState()
+    state.seed_population(_positions())
+    for upd in updates:
+        state.apply(upd)
+    return state.digest()
+
+
+class TestChurnSplices:
+    """Joins and leaves reach the delta pipeline as a splice of its cached
+    state; only a fresh pipeline (new tenant, recovery, degraded
+    recompute) starts cold."""
+
+    def test_burst_with_join_and_leave_splices(self, tmp_path):
+        async def go():
+            service = BackboneService(ServiceConfig(data_dir=tmp_path))
+            try:
+                with obs.capture() as reg:
+                    await service.add_tenant("t", _positions())
+                    await service.get_backbone("t", deadline_s=5.0)
+                    assert reg.counters["delta.cold_starts"] == 1
+                    for upd in _CHURN_BURST:
+                        service.submit_nowait("t", upd)
+                    await service.wait_seq(
+                        "t", len(_CHURN_BURST), deadline_s=60.0
+                    )
+                assert reg.counters["delta.splices"] >= 1
+                assert reg.counters["delta.cold_starts"] == 1
+                view = await service.get_backbone("t")
+                assert view.seq == len(_CHURN_BURST) and not view.stale
+                state = service._tenants["t"].state
+                want = compute_cds(
+                    state.adjacency, state.scheme, energy=state.energy
+                )
+                assert view.gateway_mask == want.gateway_mask
+                return service.state_digest("t")
+            finally:
+                await service.close()
+
+        assert asyncio.run(go()) == _replay_digest(_CHURN_BURST)
+
+    def test_recovery_starts_a_fresh_pipeline_cold(self, tmp_path):
+        async def go():
+            service = BackboneService(
+                ServiceConfig(restart=_FAST_RESTART, data_dir=tmp_path),
+                chaos=ChaosSchedule(pinned={"t": 4}),
+            )
+            try:
+                with obs.capture() as reg:
+                    await service.add_tenant("t", _positions())
+                    for upd in _CHURN_BURST:
+                        await service.submit("t", upd)
+                    await service.wait_seq(
+                        "t", len(_CHURN_BURST), deadline_s=60.0
+                    )
+                assert service.stats("t")["restarts"] == 1
+                assert reg.counters["service.recoveries"] == 1
+                # the tenant's first publish, then the recovered one
+                assert reg.counters["delta.cold_starts"] == 2
+                return service.state_digest("t")
+            finally:
+                await service.close()
+
+        assert asyncio.run(go()) == _replay_digest(_CHURN_BURST)
+
+    def test_failed_recompute_starts_a_fresh_pipeline_cold(self):
+        async def go():
+            service = BackboneService(ServiceConfig())
+            try:
+                await service.add_tenant("t", _positions())
+                await service.get_backbone("t", deadline_s=5.0)
+
+                class _ExplodingPipeline:
+                    def compute(self, graph, energy):
+                        raise RuntimeError("pipeline bug")
+
+                service._tenants["t"].pipeline = _ExplodingPipeline()
+                with obs.capture() as reg:
+                    await service.submit("t", _CHURN_BURST[0])
+                    await service.wait_seq("t", 1, deadline_s=5.0)
+                    assert "delta.cold_starts" not in reg.counters
+                    await service.submit("t", _CHURN_BURST[1])
+                    await service.wait_seq("t", 2, deadline_s=5.0)
+                assert reg.counters["delta.cold_starts"] == 1
+                assert not (await service.get_backbone("t")).stale
+            finally:
+                await service.close()
+
+        asyncio.run(go())
+
+    def test_timed_out_recompute_starts_a_fresh_pipeline_cold(self):
+        async def go():
+            service = BackboneService(ServiceConfig(recompute_timeout_s=0.25))
+            try:
+                await service.add_tenant("t", _positions())
+                await service.get_backbone("t", deadline_s=5.0)
+
+                class _StuckPipeline:
+                    def compute(self, graph, energy):
+                        time.sleep(1.0)
+                        raise RuntimeError("never published")
+
+                ctx = service._tenants["t"]
+                ctx.pipeline = _StuckPipeline()
+                with obs.capture() as reg:
+                    await service.submit("t", _CHURN_BURST[0])
+                    await service.wait_seq("t", 1, deadline_s=5.0)
+                    assert reg.counters["service.recompute_timeouts"] == 1
+                    await service.submit("t", _CHURN_BURST[1])
+                    await service.wait_seq("t", 2, deadline_s=5.0)
+                assert reg.counters["delta.cold_starts"] == 1
+                assert not (await service.get_backbone("t")).stale
+            finally:
+                await service.close()
+
+        asyncio.run(go())
 
 
 class TestOverloadAndDeadlines:

@@ -133,6 +133,45 @@ class TestIncrementalAdjacency:
         assert back.adjacency == state.adjacency
 
 
+class TestIndexDiscipline:
+    """The delta pipeline splices joins and leaves by external id; that
+    needs survivors to keep their relative order and joins to append."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 40),
+        steps=st.integers(1, 80),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_survivors_keep_order_and_joins_append(self, seed, n, steps):
+        updates = UpdateStream(
+            seed=seed, n_initial=n, p_move=0.2, p_drain=0.1, p_churn=0.7
+        ).take(steps)
+        state = TenantState(radius=30.0, side=100.0)
+        state.seed_population(
+            np.random.default_rng(seed).uniform(0, 100, size=(n, 2))
+        )
+        start = list(state.ids)
+        joined = []
+        for upd in updates:
+            before = list(state.ids)
+            state.apply(upd)
+            if isinstance(upd, Join):
+                joined.append(upd.node)
+                assert state.ids == before + [upd.node]
+            elif isinstance(upd, Leave):
+                assert state.ids == [v for v in before if v != upd.node]
+            else:
+                assert state.ids == before
+            assert [state.index_of(v) for v in state.ids] == list(
+                range(state.n)
+            )
+        # over the whole sequence: surviving seeds first, in seed order,
+        # then surviving joins in join order
+        live = set(state.ids)
+        assert state.ids == [v for v in start + joined if v in live]
+
+
 class TestValidation:
     def test_bad_radius_rejected(self):
         with pytest.raises(ConfigurationError, match="radius"):
