@@ -23,11 +23,11 @@ from repro.core.marking import marked_mask, marking_trivially_empty
 from repro.core.priority import PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats, prune
-from repro.errors import ConfigurationError
+from repro.errors import InvariantViolation
 from repro.graphs import bitset
 from repro.types import SupportsNeighborhoods
 
-__all__ = ["CDSResult", "compute_cds"]
+__all__ = ["CDSResult", "compute_cds", "shadow_check"]
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,7 @@ def compute_cds(
     adj = graph.adjacency if hasattr(graph, "adjacency") else graph
     adj = list(adj)
     sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-    if sch.needs_energy and energy is None:
-        raise ConfigurationError(
-            f"scheme {sch.name!r} ranks by energy level; pass energy="
-        )
-    if energy is not None and len(energy) != len(adj):
-        raise ConfigurationError(
-            f"energy has {len(energy)} entries for {len(adj)} nodes"
-        )
+    sch.check_energy(energy, len(adj))
 
     with obs.span("cds"):
         marked = marked_mask(adj)
@@ -130,3 +123,37 @@ def compute_cds(
             obs.count("cds.computed")
             obs.add("cds.size", result.size)
     return result
+
+
+def shadow_check(
+    adj: Sequence[int],
+    result: CDSResult,
+    scheme: PriorityScheme,
+    energy: Sequence[float] | None,
+    *,
+    fixed_point: bool,
+    pipeline: str,
+    oracle=None,
+) -> None:
+    """Recompute ``result`` with the scalar oracle and demand equality.
+
+    Raises :class:`~repro.errors.InvariantViolation` unless the gateway
+    mask *and* the :class:`PruneStats` are bit-identical — the equivalence
+    every pipeline promises.  ``oracle`` defaults to :func:`compute_cds`;
+    a pipeline module passes its own binding of it so tests can corrupt
+    the reference in one place.
+    """
+    with obs.span("shadow"):
+        reference = (oracle or compute_cds)(
+            adj, scheme, energy=energy, fixed_point=fixed_point
+        )
+    if (
+        reference.gateway_mask != result.gateway_mask
+        or reference.stats != result.stats
+    ):
+        raise InvariantViolation(
+            f"{pipeline} pipeline diverged from scratch pipeline "
+            f"(scheme={scheme.name}): {pipeline} mask "
+            f"{result.gateway_mask:#x} stats {result.stats} != scratch "
+            f"mask {reference.gateway_mask:#x} stats {reference.stats}"
+        )

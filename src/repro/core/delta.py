@@ -65,7 +65,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.cds import CDSResult, compute_cds
+from repro.core.cds import CDSResult, compute_cds, shadow_check
 from repro.core.marking import (
     marked_mask,
     marked_mask_delta,
@@ -75,7 +75,7 @@ from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.core.vectorized import pair_index_arrays
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.errors import ConfigurationError
 from repro.graphs import bitset
 
 __all__ = [
@@ -438,9 +438,9 @@ class CachedRuleEngine:
         uses_energy = name in ("el1", "el2")
         qe = None
         if uses_energy:
-            e = np.asarray(energy, dtype=np.float64)
-            q = self.scheme.quantum
-            qe = np.rint(e / q) * q if q is not None else e.copy()
+            qe = self.scheme.quantized_levels(energy)
+            if self.scheme.quantum is None:
+                qe = qe.copy()  # cached below; the caller may drain in place
         if self._have_keys:
             same = True
             if uses_deg and not np.array_equal(self._deg, self._key_deg):
@@ -452,12 +452,9 @@ class CachedRuleEngine:
         if name in ("nr", "id"):
             rank = self._ids32
         else:
-            if name == "nd":
-                order = np.lexsort((self._ids32, self._deg))
-            elif name == "el1":
-                order = np.lexsort((self._ids32, qe))
-            else:  # el2
-                order = np.lexsort((self._ids32, self._deg, qe))
+            order = np.lexsort(
+                self.scheme.key_columns(self._ids32, self._deg, qe)
+            )
             rank = np.empty(n, dtype=np.int32)
             rank[order] = self._ids32
         self._rank = rank
@@ -845,8 +842,9 @@ class DeltaCDSPipeline:
         Assert Properties 1–2 on every result.
     shadow_check:
         Also run the from-scratch pipeline each interval and raise
-        :class:`InvariantViolation` unless the gateway masks are
-        bit-identical (debug / CI equivalence mode; pays for both paths).
+        :class:`InvariantViolation` unless the gateway masks and
+        ``PruneStats`` are bit-identical (debug / CI equivalence mode;
+        pays for both paths).
     """
 
     def __init__(
@@ -889,14 +887,7 @@ class DeltaCDSPipeline:
             adj, ids = graph, None
         n = len(adj)
         sch = self.scheme
-        if sch.needs_energy and energy is None:
-            raise ConfigurationError(
-                f"scheme {sch.name!r} ranks by energy level; pass energy="
-            )
-        if energy is not None and len(energy) != n:
-            raise ConfigurationError(
-                f"energy has {len(energy)} entries for {n} nodes"
-            )
+        sch.check_energy(energy, n)
         if ids is not None and len(ids) != n:
             raise ConfigurationError(f"ids has {len(ids)} entries for {n} nodes")
 
@@ -980,7 +971,13 @@ class DeltaCDSPipeline:
                         context=f"delta scheme={sch.name}",
                     )
             if self.shadow_check:
-                self._shadow_check(result, energy)
+                if counting:
+                    obs.count("delta.shadow_checks")
+                shadow_check(
+                    list(engine.adjacency), result, sch, energy,
+                    fixed_point=self.fixed_point, pipeline="delta",
+                    oracle=compute_cds,
+                )
             if counting:
                 obs.count("cds.computed")
                 obs.add("cds.size", result.size)
@@ -988,21 +985,3 @@ class DeltaCDSPipeline:
         self._prev_marked = marked
         self._prev_result = result
         return result
-
-    def _shadow_check(self, result: CDSResult, energy) -> None:
-        with obs.span("shadow"):
-            reference = compute_cds(
-                list(self.engine.adjacency),
-                self.scheme,
-                energy=energy,
-                fixed_point=self.fixed_point,
-            )
-        if obs.enabled():
-            obs.count("delta.shadow_checks")
-        if reference.gateway_mask != result.gateway_mask:
-            raise InvariantViolation(
-                "delta pipeline diverged from scratch pipeline "
-                f"(scheme={self.scheme.name}): delta mask "
-                f"{result.gateway_mask:#x} != scratch mask "
-                f"{reference.gateway_mask:#x}"
-            )

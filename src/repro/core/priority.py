@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -96,6 +98,44 @@ class PriorityScheme:
     def needs_energy(self) -> bool:
         """True if the key consults energy (callers must supply levels)."""
         return self.name in ("el1", "el2")
+
+    def check_energy(self, energy: Sequence[float] | None, n: int) -> None:
+        """Reject a missing level vector (EL schemes) or one of wrong length."""
+        if self.needs_energy and energy is None:
+            raise ConfigurationError(
+                f"scheme {self.name!r} ranks by energy level; pass energy="
+            )
+        if energy is not None and len(energy) != n:
+            raise ConfigurationError(
+                f"energy has {len(energy)} entries for {n} nodes"
+            )
+
+    def quantized_levels(self, energy) -> np.ndarray:
+        """The float64 levels :meth:`key` compares, as one array.
+
+        ``np.rint`` rounds half-to-even exactly like Python ``round``, so
+        every element equals the ``e`` inside the tuple key.  Without a
+        quantum a float64 input array is returned itself, not a copy.
+        """
+        e = np.asarray(energy, dtype=np.float64)
+        q = self.quantum
+        return np.rint(e / q) * q if q is not None else e
+
+    def key_columns(self, ids, degrees, levels) -> tuple:
+        """``np.lexsort`` columns (least significant first) in key order.
+
+        Sorting by them orders nodes exactly like :meth:`key` for the
+        registry schemes (``levels`` from :meth:`quantized_levels`); the
+        order is read from the scheme name, so callers must check the
+        scheme is the registry one before trusting it.
+        """
+        return {
+            "nr": (ids,),
+            "id": (ids,),
+            "nd": (ids, degrees),
+            "el1": (ids, levels),
+            "el2": (ids, degrees, levels),
+        }[self.name]
 
 
 def _key_id(a: NodeAttrs) -> tuple:

@@ -26,12 +26,15 @@ Execution is two-tier, decided per connected component:
   ascending-flat-id, which preserves the relative id order every scheme
   tiebreak uses (the same argument ``repro.core.registry`` makes for its
   baseline decomposition);
-* **big** (> cutoff): streamed CSR kernels.  Adjacency membership
+* **big** (> cutoff): the dense engine's own kernels
+  (:meth:`BatchCDSEngine._edge_miss` … :meth:`BatchCDSEngine._prune`) run
+  over the big components' edges with a different membership probe:
   ``x ∈ N(u)`` becomes a binary search of the globally sorted edge-key
-  array ``eS·n + eD`` (clamped ``searchsorted``; a miss at the clamp
-  boundary compares unequal by construction), and the edge/miss/triple
-  tables are built in chunks bounded by the engine's memory budget —
-  generator-of-blocks, never a materialized ``(E, W)`` table.
+  array ``eS·n + eD`` (:func:`_key_probe`; clamped ``searchsorted``, a
+  miss at the clamp boundary compares unequal by construction) instead
+  of a packed-word gather.  The edge/miss/triple tables are built in
+  chunks bounded by the engine's memory budget, never as a materialized
+  ``(E, W)`` table.
 
 Equivalence contract
 --------------------
@@ -46,8 +49,9 @@ by the same local rules):
   components (a stabilized component's extra passes are no-ops in the
   per-element reference loop), floored at one round for rule-running
   schemes exactly like the dense engine's degenerate path;
-* per-component ``active`` freezing mirrors the dense per-element
-  ``done_b`` freezing, so ``max_rounds`` caps behave identically.
+* the round loop is the dense engine's, with each component as its own
+  group (frozen once stable or at ``max_rounds``), so ``max_rounds`` caps
+  behave identically.
 
 Scale
 -----
@@ -67,14 +71,13 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.cds import CDSResult
+from repro.core.cds import CDSResult, shadow_check
 from repro.core.marking import marking_trivially_empty
 from repro.core.priority import PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.core.vectorized import (
     BatchCDSEngine,
-    _I32MAX,
     _scatter_any,
     _validate_energy,
     chunk_bits,
@@ -82,11 +85,10 @@ from repro.core.vectorized import (
     edge_table,
     flags_to_masks,
     pack_batch,
-    pair_index_arrays,
     resolve_memory_budget_mb,
     words_for,
 )
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.errors import ConfigurationError
 
 __all__ = [
     "DENSE_COMPONENT_CUTOFF",
@@ -100,8 +102,9 @@ __all__ = [
 ]
 
 #: components at or below this size run as dense sub-batches; above it the
-#: streamed CSR kernels take over.  2048 keeps a single dense component
-#: under ~8 MB of packed words while the crossover favors dense kernels.
+#: shared kernels run on the sorted-edge-key probe.  2048 keeps a single
+#: dense component under ~8 MB of packed words while the crossover favors
+#: dense kernels.
 DENSE_COMPONENT_CUTOFF = 2048
 
 
@@ -298,21 +301,28 @@ def connected_labels(indptr: np.ndarray, dst_flat: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _member(
-    keys: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int
-) -> np.ndarray:
-    """Is ``(rows[k], cols[k])`` a directed edge?  Binary-search probe.
+def _key_probe(keys: np.ndarray, n: int):
+    """Membership probe ``member(rows, cols)`` over sorted edge keys.
 
-    ``keys`` is the sorted ``eS·n + eD`` array of the (sub)graph's edges.
+    ``keys`` is the sorted ``eS·n + eD`` array of the (sub)graph's edges;
+    ``member(rows, cols)[k]`` says whether ``(rows[k], cols[k])`` is one
+    of them — a binary search per query, the stand-in for the dense
+    engine's word gather (:func:`repro.core.vectorized._word_probe`).
     ``searchsorted`` returning ``len(keys)`` means the query exceeds every
     key, so clamping to the last slot compares unequal — no branch needed.
     """
-    if len(keys) == 0:
-        return np.zeros(len(rows), dtype=bool)
-    q = rows * n + cols
-    idx = np.searchsorted(keys, q)
-    idx = np.minimum(idx, len(keys) - 1)
-    return keys[idx] == q
+
+    def member(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        if len(keys) == 0:
+            return np.zeros(len(rows), dtype=bool)
+        q = rows * n
+        del rows  # the caller's temporary: free it before the search
+        q += cols
+        idx = np.searchsorted(keys, q)
+        np.minimum(idx, len(keys) - 1, out=idx)
+        return keys[idx] == q
+
+    return member
 
 
 @dataclass(frozen=True)
@@ -340,9 +350,9 @@ class SparseCDSEngine:
 
     Components at or below ``dense_cutoff`` nodes are delegated to a
     held :class:`BatchCDSEngine` as same-size dense sub-batches; bigger
-    ones run the CSR kernels.  One instance is bound to a scheme, the
-    fixed-point mode, and a memory budget; ``run`` is stateless across
-    calls.
+    ones run that engine's kernels on the sorted-edge-key probe.  One
+    instance is bound to a scheme, the fixed-point mode, and a memory
+    budget; ``run`` is stateless across calls.
     """
 
     def __init__(
@@ -361,7 +371,6 @@ class SparseCDSEngine:
         self.max_rounds = max_rounds
         self.memory_budget_mb = resolve_memory_budget_mb(memory_budget_mb)
         self.dense_cutoff = int(dense_cutoff)
-        self._chunk_words = chunk_words(self.memory_budget_mb)
         self._dense = BatchCDSEngine(
             self.scheme,
             fixed_point=fixed_point,
@@ -434,191 +443,6 @@ class SparseCDSEngine:
                     rounds_c[c] = st.rounds
                 slot[gsel] = -1
 
-    # -- CSR kernels (big components) --------------------------------------
-
-    def _edge_miss_csr(self, keys, beS, beD, beDf, bdeg, boff):
-        """Per-edge miss lists ``miss(v→u) = N(v) \\ N(u)`` over big edges.
-
-        The CSR twin of ``BatchCDSEngine._edge_miss``: same chunked
-        expansion, with the word gather replaced by the sorted-key
-        membership probe.  Returns ``(misscnt, missoff, misslist)``
-        indexed by *big-edge* id.
-        """
-        E = len(beS)
-        n = self._n
-        if E == 0:
-            z = np.empty(0, dtype=np.int64)
-            return z, z, z
-        counts_all = bdeg[beS]
-        avg = max(1.0, float(counts_all.mean()))
-        step = max(1, int(self._chunk_words / avg))
-        list_parts: list[np.ndarray] = []
-        owner_parts: list[np.ndarray] = []
-        for lo in range(0, E, step):
-            hi = min(E, lo + step)
-            cnt = counts_all[lo:hi]
-            total = int(cnt.sum())
-            if total == 0:
-                continue
-            owner = np.repeat(np.arange(hi - lo, dtype=np.int64), cnt)
-            first = np.cumsum(cnt) - cnt
-            within = np.arange(total, dtype=np.int64) - first[owner]
-            xs = beD[boff[beS[lo:hi]][owner] + within]  # neighbors of v
-            hit = _member(keys, beDf[lo:hi][owner], xs, n)
-            miss = ~hit
-            list_parts.append(xs[miss])
-            owner_parts.append(owner[miss] + lo)
-        misslist = np.concatenate(list_parts)
-        misscnt = np.bincount(np.concatenate(owner_parts), minlength=E)
-        missoff = np.cumsum(misscnt) - misscnt
-        return misscnt, missoff, misslist
-
-    def _covered_csr(self, lists, offs, counts, qkeys, keys, probe_rows):
-        """Chunked subset probe: list ``qkeys[k]`` ⊆ N(probe_rows[k])?"""
-        K = len(qkeys)
-        n = self._n
-        out = np.empty(K, dtype=bool)
-        if K == 0:
-            return out
-        counts_all = counts[qkeys]
-        avg = max(1.0, float(counts_all.mean()))
-        step = max(1, int(self._chunk_words / avg))
-        for lo in range(0, K, step):
-            hi = min(K, lo + step)
-            cnt = counts_all[lo:hi]
-            total = int(cnt.sum())
-            if total == 0:
-                out[lo:hi] = True
-                continue
-            owner = np.repeat(np.arange(hi - lo, dtype=np.int64), cnt)
-            first = np.cumsum(cnt) - cnt
-            within = np.arange(total, dtype=np.int64) - first[owner]
-            xs = lists[offs[qkeys[lo:hi]][owner] + within]
-            hit = _member(keys, probe_rows[lo:hi][owner], xs, n)
-            nmiss = np.bincount(owner[~hit], minlength=hi - lo)
-            out[lo:hi] = nmiss == 0
-        return out
-
-    def _rule1_csr(self, beS, beDf, misscnt, marked, rank):
-        """Simultaneous Rule-1 pass over the big-component edges."""
-        sel = (
-            marked[beS]
-            & marked[beDf]
-            & (rank[beS] < rank[beDf])
-            & (misscnt == 1)
-        )
-        removed = _scatter_any(beS[sel], len(marked))
-        return marked & ~removed
-
-    def _firing_triples_csr(
-        self, keys, miss, brev, beS, beD, beDf, marked, rank
-    ):
-        """Firing triples of the current marked set, streamed in blocks.
-
-        Semantically ``BatchCDSEngine._firing_triples`` with membership
-        probes for the adjacency prefilter; the pair expansion walks
-        source rows in blocks of ~``chunk_words`` triples so the triple
-        table is never materialized whole.
-        """
-        R = len(marked)
-        misscnt, missoff, misslist = miss
-        empty = np.empty(0, dtype=np.int64)
-        sel = marked[beS] & marked[beDf]
-        sel_idx = np.flatnonzero(sel)
-        mdeg = np.bincount(beS[sel_idx], minlength=R)
-        pcs = mdeg * (mdeg - 1) >> 1
-        cum = np.cumsum(pcs)
-        total = int(cum[-1]) if R else 0
-        if total == 0:
-            return empty, empty, empty
-        offs = np.cumsum(mdeg) - mdeg  # per-row offset into sel_idx
-        cuts = np.searchsorted(
-            cum, np.arange(self._chunk_words, total, self._chunk_words)
-        )
-        row_bounds = np.unique(np.concatenate(([0], cuts + 1, [R])))
-        v_parts: list[np.ndarray] = []
-        u_parts: list[np.ndarray] = []
-        w_parts: list[np.ndarray] = []
-        for bi in range(len(row_bounds) - 1):
-            r0, r1 = int(row_bounds[bi]), int(row_bounds[bi + 1])
-            sub_mdeg = mdeg[r0:r1]
-            i, j = pair_index_arrays(sub_mdeg)
-            if len(i) == 0:
-                continue
-            sub_pcs = sub_mdeg * (sub_mdeg - 1) >> 1
-            tV = np.repeat(np.arange(r0, r1, dtype=np.int64), sub_pcs)
-            base = np.repeat(offs[r0:r1], sub_pcs)
-            gU = sel_idx[base + i]  # big-edge id of (v, u)
-            gW = sel_idx[base + j]  # big-edge id of (v, w)
-            tW = beD[gW]
-            tUf = beDf[gU]
-            tWf = beDf[gW]
-            # prefilter: u and w must be adjacent (see the dense twin)
-            keep = _member(keys, tUf, tW, self._n)
-            tV, tUf, tWf = tV[keep], tUf[keep], tWf[keep]
-            gU, gW = gU[keep], gW[keep]
-            if len(tV) == 0:
-                continue
-            # primary coverage: N(v) ⊆ N(u) ∪ N(w) ⟺ miss(v→u) ⊆ N(w)
-            cov = self._covered_csr(
-                misslist, missoff, misscnt, gU, keys, tWf
-            )
-            cV, cUf, cWf = tV[cov], tUf[cov], tWf[cov]
-            if len(cV) == 0:
-                continue
-            gU, gW = gU[cov], gW[cov]
-            rv = rank[cV]
-            lu = rv < rank[cUf]
-            lw = rv < rank[cWf]
-            if self.scheme.uses_coverage_cases:
-                # mutual-coverage case flags through the reverse edges
-                ccu = self._covered_csr(
-                    misslist, missoff, misscnt, brev[gU], keys, cWf
-                )
-                ccw = self._covered_csr(
-                    misslist, missoff, misscnt, brev[gW], keys, cUf
-                )
-                lu |= ~ccu
-                lw |= ~ccw
-            fire = lu & lw
-            v_parts.append(cV[fire])
-            u_parts.append(cUf[fire])
-            w_parts.append(cWf[fire])
-        if not v_parts:
-            return empty, empty, empty
-        return (
-            np.concatenate(v_parts),
-            np.concatenate(u_parts),
-            np.concatenate(w_parts),
-        )
-
-    def _rule2_csr(self, keys, miss, brev, beS, beD, beDf, marked, rank):
-        """One Rule-2 pass (iterated local-minimum rounds) over big comps."""
-        R = len(marked)
-        fV, fUf, fWf = self._firing_triples_csr(
-            keys, miss, brev, beS, beD, beDf, marked, rank
-        )
-        if len(fV) == 0:
-            return marked
-        current = marked.copy()
-        cand = _scatter_any(fV, R)
-        ce = cand[beS] & cand[beDf]
-        ceS, ceD = beS[ce], beDf[ce]
-        while cand.any():
-            live = cand[ceS] & cand[ceD]
-            minr = np.full(R, _I32MAX, dtype=np.int32)
-            ls, ld = ceS[live], ceD[live]
-            if len(ls):
-                np.minimum.at(minr, ls, rank[ld])
-            commit = cand & (rank < minr)
-            if not commit.any():  # pragma: no cover - a global min commits
-                break
-            current &= ~commit
-            cand &= ~commit
-            alive = current[fUf] & current[fWf]
-            cand &= _scatter_any(fV[alive], R)
-        return current
-
     # -- driver ------------------------------------------------------------
 
     def run(
@@ -686,7 +510,6 @@ class SparseCDSEngine:
             raise ConfigurationError(
                 f"edge keys for B={B}, n={n} overflow int64; split the batch"
             )
-        self._n = n
         R = B * n
         indptr, dst = csr.indptr, csr.dst
         deg = np.diff(indptr)
@@ -697,7 +520,6 @@ class SparseCDSEngine:
             labels = connected_labels(indptr, eDf)
             roots, comp_of = np.unique(labels, return_inverse=True)
             sizes = np.bincount(comp_of)
-            comp_elem = roots // n
             C = len(roots)
             # nodes grouped by component, ascending flat id within each
             order_nodes = np.argsort(comp_of, kind="stable")
@@ -738,7 +560,7 @@ class SparseCDSEngine:
 
             if big.any():
                 self._run_big(
-                    big, comp_of, comp_elem, deg, eS, eDf, dst,
+                    big, comp_of, deg, eS, eDf, dst,
                     energy_flat, B, n, flags,
                     initial_c, rem1_c, rem2_c, rounds_c,
                 )
@@ -754,29 +576,30 @@ class SparseCDSEngine:
             )
 
     def _run_big(
-        self, big, comp_of, comp_elem, deg, eS, eDf, dst,
+        self, big, comp_of, deg, eS, eDf, dst,
         energy_flat, B, n, flags,
         initial_c, rem1_c, rem2_c, rounds_c,
     ) -> None:
-        """Streamed CSR path for components above the dense cutoff.
+        """Components above the dense cutoff, on the shared kernels.
 
-        The outer convergence loop mirrors the dense engine's per-element
-        ``done_b`` loop with per-*component* activity flags: rounds count
-        while active, removals and state updates freeze once a component
-        stabilizes (or ``max_rounds`` caps it), so the aggregate stats
-        match the reference loop exactly.
+        The dense engine's kernels run over the big components' edges
+        with the edge-key probe in place of the word gather, and its
+        round loop treats each component as a group: rounds count while
+        a component is active, and it freezes once stable (or capped by
+        ``max_rounds``), so the aggregate stats match the reference loop.
         """
         C = len(initial_c)
+        dense = self._dense
         bignode = big[comp_of]
         besel = bignode[eS]
         beS, beDf, beD = eS[besel], eDf[besel], dst[besel]
-        keys = beS * n + beD  # globally sorted: (src, dst) ascending
+        # globally sorted: (src, dst) ascending
+        member = _key_probe(beS * n + beD, n)
         bdeg = np.where(bignode, deg, 0)
         boff = np.cumsum(bdeg) - bdeg
-        miss = self._edge_miss_csr(keys, beS, beD, beDf, bdeg, boff)
-        misscnt = miss[0]
+        miss = dense._edge_miss(member, beD, boff, bdeg, beS, beDf)
 
-        marked0 = _scatter_any(beS[misscnt >= 2], B * n)
+        marked0 = _scatter_any(beS[miss[0] >= 2], B * n)
         mcomps = comp_of[np.flatnonzero(marked0)]
         if len(mcomps):
             initial_c += np.bincount(mcomps, minlength=C)
@@ -788,40 +611,14 @@ class SparseCDSEngine:
         energy_arr = None
         if energy_flat is not None:
             energy_arr = energy_flat.reshape(B, n)
-        rank = self._dense._ranks(deg, energy_arr, B, n)
-        # reverse-edge permutation within the big-edge table: components
-        # are closed, so every reverse edge is itself a big edge
-        brev = np.lexsort((beS, beDf))
-
-        current = marked0.copy()
-        active_c = big.copy()
-        rounds_big = np.zeros(C, dtype=np.int64)
-        while active_c.any():
-            rounds_big += active_c
-            after1 = self._rule1_csr(beS, beDf, misscnt, current, rank)
-            after2 = self._rule2_csr(
-                keys, miss, brev, beS, beD, beDf, after1, rank
-            )
-            d1 = np.bincount(
-                comp_of[np.flatnonzero(current & ~after1)], minlength=C
-            )
-            d2 = np.bincount(
-                comp_of[np.flatnonzero(after1 & ~after2)], minlength=C
-            )
-            rem1_c += np.where(active_c, d1, 0)
-            rem2_c += np.where(active_c, d2, 0)
-            changed_c = np.zeros(C, dtype=bool)
-            diff = np.flatnonzero(current ^ after2)
-            changed_c[comp_of[diff]] = True
-            # frozen components keep their state (relevant once
-            # max_rounds caps one that has not stabilized)
-            upd = active_c[comp_of]
-            current = np.where(upd, after2, current)
-            active_c &= changed_c
-            if not self.fixed_point:
-                active_c[:] = False
-            active_c &= rounds_big < self.max_rounds
-        rounds_c[big] = rounds_big[big]
+        rank = dense._ranks(deg, energy_arr, B, n)
+        # components are closed, so every reverse edge is itself big
+        current, rounds, rem1, rem2 = dense._prune(
+            member, miss, beS, beD, beDf, marked0, rank, comp_of, big
+        )
+        rounds_c += rounds
+        rem1_c += rem1
+        rem2_c += rem2
         flags |= current
 
 
@@ -914,14 +711,6 @@ class SparseCDSPipeline:
         self._prev_ekey = None
         self._prev_result = None
 
-    def _energy_fingerprint(self, energy) -> bytes | None:
-        if energy is None:
-            return None
-        e = np.asarray(energy, dtype=np.float64)
-        q = self.scheme.quantum
-        qe = np.rint(e / q) * q if q is not None else e
-        return qe.tobytes()
-
     def compute(
         self, graph, energy: Sequence[float] | None = None
     ) -> CDSResult:
@@ -929,15 +718,10 @@ class SparseCDSPipeline:
         adj_src = graph.adjacency if hasattr(graph, "adjacency") else graph
         n = len(adj_src)
         sch = self.scheme
-        if sch.needs_energy and energy is None:
-            raise ConfigurationError(
-                f"scheme {sch.name!r} ranks by energy level; pass energy="
-            )
-        if energy is not None and len(energy) != n:
-            raise ConfigurationError(
-                f"energy has {len(energy)} entries for {n} nodes"
-            )
-        ekey = self._energy_fingerprint(energy)
+        sch.check_energy(energy, n)
+        ekey = (
+            None if energy is None else sch.quantized_levels(energy).tobytes()
+        )
         if (
             self._prev_result is not None
             and len(self._prev_adj) == n
@@ -974,7 +758,10 @@ class SparseCDSPipeline:
                         adj, mask, context=f"sparse scheme={sch.name}"
                     )
             if self.shadow_check:
-                self._shadow_check(adj, result, energy)
+                shadow_check(
+                    adj, result, sch, energy,
+                    fixed_point=self.fixed_point, pipeline="sparse",
+                )
             if obs.enabled():
                 obs.count("cds.computed")
                 obs.add("cds.size", result.size)
@@ -982,18 +769,3 @@ class SparseCDSPipeline:
         self._prev_ekey = ekey
         self._prev_result = result
         return result
-
-    def _shadow_check(self, adj, result: CDSResult, energy) -> None:
-        from repro.core.cds import compute_cds
-
-        with obs.span("shadow"):
-            reference = compute_cds(
-                adj, self.scheme, energy=energy, fixed_point=self.fixed_point
-            )
-        if reference.gateway_mask != result.gateway_mask:
-            raise InvariantViolation(
-                "sparse pipeline diverged from scratch pipeline "
-                f"(scheme={self.scheme.name}): sparse mask "
-                f"{result.gateway_mask:#x} != scratch mask "
-                f"{reference.gateway_mask:#x}"
-            )

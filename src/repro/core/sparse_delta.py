@@ -70,7 +70,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.cds import CDSResult
+from repro.core.cds import CDSResult, shadow_check
 from repro.core.delta import changed_row_flags
 from repro.core.marking import marking_trivially_empty
 from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
@@ -82,7 +82,6 @@ from repro.core.sparse import (
     unit_disk_edge_lists,
 )
 from repro.core.vectorized import chunk_words, flags_to_masks
-from repro.errors import ConfigurationError, InvariantViolation
 
 __all__ = ["IncrementalSparseCDSPipeline", "sub_csr"]
 
@@ -172,27 +171,22 @@ class IncrementalSparseCDSPipeline:
     def _energy_fingerprint(self, energy_arr: np.ndarray | None):
         if energy_arr is None:
             return None
-        q = self.scheme.quantum
-        qe = np.rint(energy_arr / q) * q if q is not None else energy_arr
-        return qe.tobytes()
+        return self.scheme.quantized_levels(energy_arr).tobytes()
 
     def _key_order(self, energy_arr: np.ndarray) -> np.ndarray:
         """Node ids grouped by component label, key-ascending within.
 
         Valid only for the registry EL schemes (the callers gate on
-        that); the column stack mirrors ``CachedRuleEngine._refresh_keys``
-        — quantized energy, then degree for el2, then id, with the label
-        as the primary (grouping) column.
+        that): the scheme's key columns with the label as the primary
+        (grouping) column.
         """
-        q = self.scheme.quantum
-        qe = np.rint(energy_arr / q) * q if q is not None else energy_arr
-        ids = np.arange(self._n, dtype=np.int64)
-        if self.scheme.name == "el2":
-            deg = np.diff(self._csr.indptr)
-            cols = (ids, deg, qe, self._label)
-        else:  # el1
-            cols = (ids, qe, self._label)
-        return np.lexsort(cols)
+        sch = self.scheme
+        cols = sch.key_columns(
+            np.arange(self._n, dtype=np.int64),
+            np.diff(self._csr.indptr),
+            sch.quantized_levels(energy_arr),
+        )
+        return np.lexsort(cols + (self._label,))
 
     def _refresh_key_cache(self, energy_arr: np.ndarray | None) -> None:
         """Cache the per-component key order for next interval's diff."""
@@ -314,14 +308,7 @@ class IncrementalSparseCDSPipeline:
             )
             n = len(rows_src)
         sch = self.scheme
-        if sch.needs_energy and energy is None:
-            raise ConfigurationError(
-                f"scheme {sch.name!r} ranks by energy level; pass energy="
-            )
-        if energy is not None and len(energy) != n:
-            raise ConfigurationError(
-                f"energy has {len(energy)} entries for {n} nodes"
-            )
+        sch.check_energy(energy, n)
         energy_arr = (
             np.asarray(energy, dtype=np.float64)
             if energy is not None
@@ -476,7 +463,10 @@ class IncrementalSparseCDSPipeline:
                         adj, mask, context=f"sparse-delta scheme={sch.name}"
                     )
             if self.shadow_check:
-                self._shadow_check(adj, result, energy_arr)
+                shadow_check(
+                    adj, result, sch, energy_arr,
+                    fixed_point=self.fixed_point, pipeline="incremental sparse",
+                )
         if obs.enabled():
             obs.count("cds.computed")
             obs.add("cds.size", result.size)
@@ -488,24 +478,3 @@ class IncrementalSparseCDSPipeline:
         if self._mode == "adj":
             return self._rows
         return list(graph.adjacency)
-
-    def _shadow_check(self, adj, result: CDSResult, energy_arr) -> None:
-        from repro.core.cds import compute_cds
-
-        with obs.span("shadow"):
-            reference = compute_cds(
-                adj,
-                self.scheme,
-                energy=energy_arr,
-                fixed_point=self.fixed_point,
-            )
-        if (
-            reference.gateway_mask != result.gateway_mask
-            or reference.stats != result.stats
-        ):
-            raise InvariantViolation(
-                "incremental sparse pipeline diverged from scratch "
-                f"(scheme={self.scheme.name}): mask "
-                f"{result.gateway_mask:#x} stats {result.stats} != scratch "
-                f"mask {reference.gateway_mask:#x} stats {reference.stats}"
-            )

@@ -46,18 +46,29 @@ at n = 10k constant-density).  Two observations cut its cost by ~10×
 
 * **adjacency prefilter**: a firing pair must have ``w ∈ N(u)`` —
   ``w ∈ N(v)`` needs covering, ``w ∉ N(w)``, so only ``N(u)`` can supply
-  it; one single-word gather per triple kills ~40% of them;
+  it; one membership probe per triple kills ~40% of them;
 * **per-edge miss lists**: one expansion pass over the directed-edge
   table (:meth:`BatchCDSEngine._edge_miss`) records, for every edge
   ``(v, u)``, the set ``miss(v→u) = N(v) \\ N(u)`` (``u`` itself always
   belongs).  Then *marking* is ``|miss| ≥ 2`` (some neighbor besides u is
   unreachable from u), *Rule-1 coverage* ``N[v] ⊆ N[u]`` is ``|miss| ==
   1``, and *Rule-2 coverage* ``N(v) ⊆ N(u) ∪ N(w)`` probes only
-  ``miss(v→u)`` against ``N(w)`` (:func:`_covered_expand`) — ~3× fewer
-  word probes than expanding all of ``N(v)``, and ~25× less traffic than
+  ``miss(v→u)`` against ``N(w)`` (:meth:`BatchCDSEngine._covered`) — ~3×
+  fewer probes than expanding all of ``N(v)``, and ~25× less traffic than
   sweeping all ``W`` row words per triple.  The mutual-coverage case
   flags reuse the same lists through the reverse-edge permutation
   (``N(u) \\ N(v) = miss(u→v)``).
+
+One kernel set, two probes
+--------------------------
+Every kernel asks adjacency questions through one callable,
+``member(rows, cols) -> bool`` (is local node ``cols[k]`` in
+``N(rows[k])``?).  Here it is a single-word gather from the packed rows
+(:func:`_word_probe`); the sparse engine's big-component tier
+(:mod:`repro.core.sparse`) passes a binary search over sorted edge keys
+and runs these same kernels and the same round loop
+(:meth:`BatchCDSEngine._prune`), with connected components in place of
+batch elements as the groups that count rounds and freeze.
 
 All expansions are chunked so peak temporary memory stays bounded
 regardless of n; the Python loops that remain iterate over *chunks*,
@@ -72,12 +83,12 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.cds import CDSResult
+from repro.core.cds import CDSResult, shadow_check
 from repro.core.marking import marking_trivially_empty
 from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.errors import ConfigurationError
 
 __all__ = [
     "words_for",
@@ -149,8 +160,6 @@ def chunk_bits(budget_mb: float | None = None) -> int:
     return max(1 << 15, int(mb * (1 << 26) / DEFAULT_MEMORY_BUDGET_MB))
 
 
-#: word budget per gathered operand in a chunked sweep (32 MiB of uint64).
-_CHUNK_WORDS = chunk_words(DEFAULT_MEMORY_BUDGET_MB)
 #: unpacked-bit budget per chunk of the edge-table builder (64 MiB).
 _CHUNK_BITS = chunk_bits(DEFAULT_MEMORY_BUDGET_MB)
 
@@ -265,54 +274,43 @@ def pair_index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _covered_expand(
-    lists: np.ndarray,
-    offs: np.ndarray,
-    counts: np.ndarray,
-    keys: np.ndarray,
-    table: np.ndarray,
-    probe_a: np.ndarray,
-    probe_b: np.ndarray | None = None,
-    chunk: int | None = None,
-) -> np.ndarray:
-    """Batched subset test: is every member of CSR list ``keys[k]`` a set
-    bit of ``table[a[k]]`` (∪ ``table[b[k]]``)?
+def _word_probe(rows_flat: np.ndarray):
+    """Membership probe ``member(rows, cols)`` over packed word rows.
 
-    ``lists`` holds concatenated local node ids, CSR-indexed by ``offs`` /
-    ``counts``; query ``k`` expands into one single-word probe per member
-    of list ``keys[k]``.  The work is ``Σ counts[keys]`` word gathers
-    instead of a ``W``-word sweep per query — at constant density the
-    lists are ~20 entries (or ~7 for the miss lists) against ``W = 157``
-    words at n = 10k.  Empty lists are vacuously covered.  Chunked so the
-    expansion never materializes more than ``_CHUNK_WORDS`` elements.
+    ``member(rows, cols)[k]`` is bit ``cols[k]`` of row ``rows[k]`` — one
+    single-word gather per query.  The kernels below take any probe of
+    this shape; the sparse engine passes a sorted-edge-key one instead.
     """
-    K = len(keys)
-    out = np.empty(K, dtype=bool)
+
+    def member(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        words = rows_flat[rows, cols >> 6]
+        del rows  # the caller's temporary: free it before the shift
+        words >>= cols.astype(np.uint64) & _U64_63
+        words &= _U64_1
+        return words.astype(bool)
+
+    return member
+
+
+def _expand(counts: np.ndarray, budget: int):
+    """Chunked expansion of segments of sizes ``counts`` into members.
+
+    Yields ``(lo, hi, owner, within)`` per chunk of segments
+    ``lo..hi-1``: member ``k`` belongs to segment ``lo + owner[k]`` at
+    position ``within[k]``.  Chunks hold about ``budget`` members on
+    average, so no expansion materializes more than that.
+    """
+    K = len(counts)
     if K == 0:
-        return out
-    if chunk is None:
-        chunk = _CHUNK_WORDS
-    counts_all = counts[keys]
-    avg = max(1.0, float(counts_all.mean()))
-    step = max(1, int(chunk / avg))
+        return
+    step = max(1, int(budget / max(1.0, float(counts.mean()))))
     for lo in range(0, K, step):
         hi = min(K, lo + step)
-        cnt = counts_all[lo:hi]
-        total = int(cnt.sum())
-        if total == 0:
-            out[lo:hi] = True
-            continue
+        cnt = counts[lo:hi]
         owner = np.repeat(np.arange(hi - lo, dtype=np.int64), cnt)
         first = np.cumsum(cnt) - cnt
-        within = np.arange(total, dtype=np.int64) - first[owner]
-        xs = lists[offs[keys[lo:hi]][owner] + within]  # local node ids
-        words = table[probe_a[lo:hi][owner], xs >> 6]
-        if probe_b is not None:
-            words = words | table[probe_b[lo:hi][owner], xs >> 6]
-        hit = (words >> (xs.astype(np.uint64) & _U64_63)) & _U64_1
-        nmiss = np.bincount(owner[hit == 0], minlength=hi - lo)
-        out[lo:hi] = nmiss == 0
-    return out
+        within = np.arange(len(owner), dtype=np.int64) - first[owner]
+        yield lo, hi, owner, within
 
 
 def _scatter_any(hits: np.ndarray, size: int) -> np.ndarray:
@@ -421,23 +419,22 @@ class BatchCDSEngine:
         if name in ("nr", "id"):
             return ids_flat.astype(np.int32)
         elem = np.repeat(np.arange(B, dtype=np.int64), n)
-        if name == "nd":
-            order = np.lexsort((ids_flat, deg_flat, elem))
-        else:
-            e = np.asarray(energy, dtype=np.float64).reshape(B * n)
-            q = self.scheme.quantum
-            qe = np.rint(e / q) * q if q is not None else e
-            if name == "el1":
-                order = np.lexsort((ids_flat, qe, elem))
-            else:  # el2
-                order = np.lexsort((ids_flat, deg_flat, qe, elem))
+        qe = None
+        if self.scheme.needs_energy:
+            qe = self.scheme.quantized_levels(energy).reshape(B * n)
+        cols = self.scheme.key_columns(ids_flat, deg_flat, qe)
+        order = np.lexsort(cols + (elem,))
         rank = np.empty(B * n, dtype=np.int32)
         rank[order] = ids_flat.astype(np.int32)
         return rank
 
-    # -- kernels -----------------------------------------------------------
+    # -- kernels (shared with the sparse engine's big tier) ----------------
+    #
+    # ``member(rows, cols)`` is the membership probe (module docstring);
+    # edge arrays ``(eS, eD, eDf)`` are in ascending (source, destination)
+    # order, and ``eoff``/``deg`` index each source's run of edges.
 
-    def _edge_miss(self, rows_flat, eD, eoff, deg_flat, eS, eDf):
+    def _edge_miss(self, member, eD, eoff, deg, eS, eDf):
         """Per-directed-edge miss lists ``miss(v→u) = N(v) \\ N(u)``.
 
         One expansion pass over the edge table; returns the CSR triple
@@ -452,30 +449,35 @@ class BatchCDSEngine:
         if E == 0:
             z = np.empty(0, dtype=np.int64)
             return z, z, z
-        counts_all = deg_flat[eS]
-        avg = max(1.0, float(counts_all.mean()))
-        step = max(1, int(self._chunk_words / avg))
         list_parts: list[np.ndarray] = []
         owner_parts: list[np.ndarray] = []
-        for lo in range(0, E, step):
-            hi = min(E, lo + step)
-            cnt = counts_all[lo:hi]
-            total = int(cnt.sum())
-            if total == 0:
-                continue
-            owner = np.repeat(np.arange(hi - lo, dtype=np.int64), cnt)
-            first = np.cumsum(cnt) - cnt
-            within = np.arange(total, dtype=np.int64) - first[owner]
+        for lo, hi, owner, within in _expand(deg[eS], self._chunk_words):
             xs = eD[eoff[eS[lo:hi]][owner] + within]  # neighbors of v
-            words = rows_flat[eDf[lo:hi][owner], xs >> 6]
-            hit = (words >> (xs.astype(np.uint64) & _U64_63)) & _U64_1
-            miss = hit == 0
+            miss = ~member(eDf[lo:hi][owner], xs)
             list_parts.append(xs[miss])
             owner_parts.append(owner[miss] + lo)
         misslist = np.concatenate(list_parts)
         misscnt = np.bincount(np.concatenate(owner_parts), minlength=E)
         missoff = np.cumsum(misscnt) - misscnt
         return misscnt, missoff, misslist
+
+    def _covered(self, member, miss, edges, probe_rows):
+        """Batched subset test: ``miss(edges[k]) ⊆ N(probe_rows[k])``?
+
+        Query ``k`` expands into one probe per member of its edge's miss
+        list — ``Σ misscnt[edges]`` probes instead of a ``W``-word sweep
+        per query (the miss lists hold ~7 entries at constant density
+        against ``W = 157`` words at n = 10k).  Empty lists are vacuously
+        covered.  Chunked so no expansion exceeds ``_chunk_words``.
+        """
+        misscnt, missoff, misslist = miss
+        out = np.empty(len(edges), dtype=bool)
+        chunks = _expand(misscnt[edges], self._chunk_words)
+        for lo, hi, owner, within in chunks:
+            xs = misslist[missoff[edges[lo:hi]][owner] + within]
+            hit = member(probe_rows[lo:hi][owner], xs)
+            out[lo:hi] = np.bincount(owner[~hit], minlength=hi - lo) == 0
+        return out
 
     def _rule1(self, eS, eDf, misscnt, marked, rank) -> np.ndarray:
         """Simultaneous Rule-1 pass: pure arithmetic on the miss counts."""
@@ -488,85 +490,74 @@ class BatchCDSEngine:
         removed = _scatter_any(eS[sel], len(marked))
         return marked & ~removed
 
-    def _firing_triples(
-        self, rows_flat, miss, rev, eS, eD, eDf, marked, rank, n
-    ):
+    def _firing_triples(self, member, miss, rev, eS, eD, eDf, marked, rank):
         """All firing triples ``(v, u, w)`` of the current marked set.
 
         Returns flat arrays ``(fV, fUf, fWf)``: a triple fires iff its
         coverage + case analysis + key comparison already favor removing
         ``v`` — whether it is *live* is then only a markedness check, just
-        like the scratch engine's precomputed pair masks.
+        like the scratch engine's precomputed pair masks.  The pair
+        expansion walks source rows in blocks of ~``_chunk_words`` triples,
+        so the triple table is never materialized whole.
         """
         R = len(marked)
-        misscnt, missoff, misslist = miss
         empty = np.empty(0, dtype=np.int64)
-        sel = marked[eS] & marked[eDf]
-        sel_idx = np.flatnonzero(sel)  # global edge ids, grouped by source
+        sel_idx = np.flatnonzero(marked[eS] & marked[eDf])  # by source
         mdeg = np.bincount(eS[sel_idx], minlength=R)
-        i, j = pair_index_arrays(mdeg)
-        if len(i) == 0:
+        pcs = mdeg * (mdeg - 1) >> 1
+        cum = np.cumsum(pcs)
+        total = int(cum[-1]) if R else 0
+        if total == 0:
             return empty, empty, empty
         offs = np.cumsum(mdeg) - mdeg  # per-row offset into sel_idx
-        pcs = mdeg * (mdeg - 1) >> 1
-        tV = np.repeat(np.arange(R, dtype=np.int64), pcs)
-        base = np.repeat(offs, pcs)
-        gU = sel_idx[base + i]  # global edge id of (v, u)
-        gW = sel_idx[base + j]  # global edge id of (v, w)
-        tW = eD[gW]
-        tUf = eDf[gU]
-        tWf = eDf[gW]
-
-        # prefilter — u and w must be adjacent: w ∈ N(v) needs covering,
-        # and w ∉ N(w), so only N(u) can supply it (symmetrically u ∈ N(w))
-        adj_uw = (
-            rows_flat[tUf, tW >> 6] >> (tW.astype(np.uint64) & _U64_63)
-        ) & _U64_1
-        keep = adj_uw.astype(bool)
-        tV, tUf, tWf = tV[keep], tUf[keep], tWf[keep]
-        gU, gW = gU[keep], gW[keep]
-        if len(tV) == 0:
-            return empty, empty, empty
-
-        # exact primary coverage: N(v) ⊆ N(u) ∪ N(w) ⟺ miss(v→u) ⊆ N(w)
-        # (u ∈ miss(v→u) always hits: the prefilter guarantees u ∈ N(w))
-        cov = _covered_expand(
-            misslist, missoff, misscnt, gU, rows_flat, tWf,
-            chunk=self._chunk_words,
+        cuts = np.searchsorted(
+            cum, np.arange(self._chunk_words, total, self._chunk_words)
         )
-        cV, cUf, cWf = tV[cov], tUf[cov], tWf[cov]
-        if len(cV) == 0:
+        row_bounds = np.unique(np.concatenate(([0], cuts + 1, [R])))
+        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for r0, r1 in zip(row_bounds[:-1].tolist(), row_bounds[1:].tolist()):
+            i, j = pair_index_arrays(mdeg[r0:r1])
+            if len(i) == 0:
+                continue
+            tV = np.repeat(np.arange(r0, r1, dtype=np.int64), pcs[r0:r1])
+            base = np.repeat(offs[r0:r1], pcs[r0:r1])
+            gU = sel_idx[base + i]  # edge id of (v, u)
+            gW = sel_idx[base + j]  # edge id of (v, w)
+            # prefilter — u and w must be adjacent: w ∈ N(v) needs
+            # covering, and w ∉ N(w), so only N(u) can supply it
+            keep = member(eDf[gU], eD[gW])
+            tV, gU, gW = tV[keep], gU[keep], gW[keep]
+            tUf, tWf = eDf[gU], eDf[gW]
+            # exact primary coverage: N(v) ⊆ N(u) ∪ N(w) ⟺ miss(v→u) ⊆
+            # N(w) (u ∈ miss(v→u) always hits: the prefilter put u ∈ N(w))
+            cov = self._covered(member, miss, gU, tWf)
+            cV, cUf, cWf = tV[cov], tUf[cov], tWf[cov]
+            if len(cV) == 0:
+                continue
+            rv = rank[cV]
+            lu = rv < rank[cUf]
+            lw = rv < rank[cWf]
+            if self.scheme.uses_coverage_cases:
+                # collapse of the paper's case table (cf. delta._eval_fire):
+                # the u-side key test is waived exactly when u is not
+                # mutually covered (N(u) ⊄ N(v) ∪ N(w)); symmetrically for
+                # w.  Through the reverse-edge permutation these reuse the
+                # miss lists: N(u) ⊆ N(v) ∪ N(w) ⟺ miss(u→v) ⊆ N(w) (v ∈
+                # N(w) since w, v are adjacent through the triple)
+                lu |= ~self._covered(member, miss, rev[gU[cov]], cWf)
+                lw |= ~self._covered(member, miss, rev[gW[cov]], cUf)
+            fire = lu & lw
+            parts.append((cV[fire], cUf[fire], cWf[fire]))
+        if not parts:
             return empty, empty, empty
-        gU, gW = gU[cov], gW[cov]
+        fV, fUf, fWf = zip(*parts)
+        return np.concatenate(fV), np.concatenate(fUf), np.concatenate(fWf)
 
-        rv = rank[cV]
-        lu = rv < rank[cUf]
-        lw = rv < rank[cWf]
-        if self.scheme.uses_coverage_cases:
-            # collapse of the paper's case table (cf. delta._eval_fire):
-            # the u-side key test is waived exactly when u is not mutually
-            # covered (N(u) ⊄ N(v) ∪ N(w)); symmetrically for w.  Through
-            # the reverse-edge permutation these reuse the miss lists:
-            # N(u) ⊆ N(v) ∪ N(w) ⟺ miss(u→v) ⊆ N(w) (v ∈ N(w) since w, v
-            # are adjacent through the triple)
-            ccu = _covered_expand(
-                misslist, missoff, misscnt, rev[gU], rows_flat, cWf,
-                chunk=self._chunk_words,
-            )
-            ccw = _covered_expand(
-                misslist, missoff, misscnt, rev[gW], rows_flat, cUf,
-                chunk=self._chunk_words,
-            )
-            lu |= ~ccu
-            lw |= ~ccw
-        fire = lu & lw
-        return cV[fire], cUf[fire], cWf[fire]
-
-    def _rule2(self, rows_flat, miss, rev, eS, eD, eDf, marked, rank, n):
-        """One Rule-2 pass: iterated local-minimum rounds, whole batch."""
+    def _rule2(self, member, miss, rev, eS, eD, eDf, marked, rank):
+        """One Rule-2 pass: iterated local-minimum rounds over every group."""
         R = len(marked)
         fV, fUf, fWf = self._firing_triples(
-            rows_flat, miss, rev, eS, eD, eDf, marked, rank, n
+            member, miss, rev, eS, eD, eDf, marked, rank
         )
         if len(fV) == 0:
             return marked
@@ -589,6 +580,51 @@ class BatchCDSEngine:
             alive = current[fUf] & current[fWf]
             cand &= _scatter_any(fV[alive], R)
         return current
+
+    def _prune(
+        self, member, miss, eS, eD, eDf, marked, rank, group_of, active
+    ):
+        """Rule 1 + Rule 2 rounds until every group is frozen.
+
+        A *group* is a batch element (dense engine) or a connected
+        component (sparse engine); ``group_of`` maps flat rows to groups
+        and ``active`` says which groups take part (the others must own
+        no edges).  Rounds count per group while it is active; a group
+        freezes once a round leaves it unchanged, after one round unless
+        ``fixed_point``, or at ``max_rounds``, so per-group stats equal
+        the scalar reference loop's.  A frozen group needs no masking:
+        groups share no edges, so a stable group stays unchanged under
+        further rounds, and every group still active reaches
+        ``max_rounds`` in the same round.  Returns ``(flags, rounds,
+        removed_rule1, removed_rule2)``, the last three per group.
+        """
+        G = len(active)
+        active = active.copy()
+        rounds = np.zeros(G, dtype=np.int64)
+        removed1 = np.zeros(G, dtype=np.int64)
+        removed2 = np.zeros(G, dtype=np.int64)
+
+        def per_group(flags: np.ndarray) -> np.ndarray:
+            return np.bincount(group_of[np.flatnonzero(flags)], minlength=G)
+
+        # reverse-edge permutation: rev[k] is the edge (u→v) for edge
+        # k = (v→u); both edge orderings sort to the same pair sequence
+        rev = np.lexsort((eS, eDf))
+        current = marked
+        while active.any():
+            rounds += active
+            after1 = self._rule1(eS, eDf, miss[0], current, rank)
+            after2 = self._rule2(
+                member, miss, rev, eS, eD, eDf, after1, rank
+            )
+            removed1 += per_group(current & ~after1)
+            removed2 += per_group(after1 & ~after2)
+            active &= per_group(current ^ after2) > 0
+            current = after2
+            if not self.fixed_point:
+                break
+            active &= rounds < self.max_rounds
+        return current, rounds, removed1, removed2
 
     # -- driver ------------------------------------------------------------
 
@@ -624,11 +660,11 @@ class BatchCDSEngine:
             eS, eD, eDf = self._edge_table(rows_flat, n)
             deg_flat = np.bincount(eS, minlength=B * n)
             eoff = np.cumsum(deg_flat) - deg_flat  # CSR starts into eD
-            miss = self._edge_miss(rows_flat, eD, eoff, deg_flat, eS, eDf)
-            misscnt = miss[0]
+            member = _word_probe(rows_flat)
+            miss = self._edge_miss(member, eD, eoff, deg_flat, eS, eDf)
 
             # marked iff some neighbor certifies: N(v) ⊄ N[u] ⟺ |miss| ≥ 2
-            marked0 = _scatter_any(eS[misscnt >= 2], B * n)
+            marked0 = _scatter_any(eS[miss[0] >= 2], B * n)
             initial_b = marked0.reshape(B, n).sum(axis=1)
 
             if obs.enabled():
@@ -648,37 +684,11 @@ class BatchCDSEngine:
             if energy is not None:
                 energy_arr = np.asarray(energy, dtype=np.float64).reshape(B, n)
             rank = self._ranks(deg_flat, energy_arr, B, n)
-            # reverse-edge permutation: rev[k] is the edge (u→v) for edge
-            # k = (v→u); both edge orderings sort to the same pair sequence
-            rev = np.lexsort((eS, eDf))
-
-            current = marked0.copy()
-            rounds_b = np.zeros(B, dtype=np.int64)
-            removed1_b = np.zeros(B, dtype=np.int64)
-            removed2_b = np.zeros(B, dtype=np.int64)
-            done_b = np.zeros(B, dtype=bool)
-            while True:
-                active = ~done_b
-                rounds_b += active
-                after1 = self._rule1(eS, eDf, misscnt, current, rank)
-                after2 = self._rule2(
-                    rows_flat, miss, rev, eS, eD, eDf, after1, rank, n
-                )
-                d1 = (current & ~after1).reshape(B, n).sum(axis=1)
-                d2 = (after1 & ~after2).reshape(B, n).sum(axis=1)
-                removed1_b += np.where(active, d1, 0)
-                removed2_b += np.where(active, d2, 0)
-                stable_b = ~(current ^ after2).reshape(B, n).any(axis=1)
-                # done elements stay frozen (relevant once max_rounds caps
-                # an element that has not stabilized)
-                upd = np.repeat(active, n)
-                current = np.where(upd, after2, current)
-                done_b |= stable_b
-                if not self.fixed_point:
-                    done_b[:] = True
-                done_b |= rounds_b >= self.max_rounds
-                if done_b.all():
-                    break
+            current, rounds_b, removed1_b, removed2_b = self._prune(
+                member, miss, eS, eD, eDf, marked0, rank,
+                np.repeat(np.arange(B, dtype=np.int64), n),
+                np.ones(B, dtype=bool),
+            )
 
             stats = [
                 PruneStats(
@@ -790,7 +800,9 @@ def compute_cds_rule_k_batch(
     eS, eD, eDf = engine._edge_table(rows_flat, n)
     deg_flat = np.bincount(eS, minlength=B * n)
     eoff = np.cumsum(deg_flat) - deg_flat
-    misscnt = engine._edge_miss(rows_flat, eD, eoff, deg_flat, eS, eDf)[0]
+    misscnt = engine._edge_miss(
+        _word_probe(rows_flat), eD, eoff, deg_flat, eS, eDf
+    )[0]
     marked = _scatter_any(eS[misscnt >= 2], B * n)
     if not sch.uses_rules:
         flags = marked.reshape(B, n)
@@ -870,14 +882,7 @@ class VectorizedCDSPipeline:
         adj = list(adj)
         n = len(adj)
         sch = self.scheme
-        if sch.needs_energy and energy is None:
-            raise ConfigurationError(
-                f"scheme {sch.name!r} ranks by energy level; pass energy="
-            )
-        if energy is not None and len(energy) != n:
-            raise ConfigurationError(
-                f"energy has {len(energy)} entries for {n} nodes"
-            )
+        sch.check_energy(energy, n)
         with obs.span("cds"):
             packed = pack_adjacency(adj)[None, :, :]
             energy_arr = None
@@ -892,23 +897,11 @@ class VectorizedCDSPipeline:
                 with obs.span("verify"):
                     verify_cds(adj, mask, context=f"vectorized scheme={sch.name}")
             if self.shadow_check:
-                self._shadow_check(adj, result, energy)
+                shadow_check(
+                    adj, result, sch, energy,
+                    fixed_point=self.fixed_point, pipeline="vectorized",
+                )
             if obs.enabled():
                 obs.count("cds.computed")
                 obs.add("cds.size", result.size)
         return result
-
-    def _shadow_check(self, adj, result: CDSResult, energy) -> None:
-        from repro.core.cds import compute_cds
-
-        with obs.span("shadow"):
-            reference = compute_cds(
-                adj, self.scheme, energy=energy, fixed_point=self.fixed_point
-            )
-        if reference.gateway_mask != result.gateway_mask:
-            raise InvariantViolation(
-                "vectorized pipeline diverged from scratch pipeline "
-                f"(scheme={self.scheme.name}): vectorized mask "
-                f"{result.gateway_mask:#x} != scratch mask "
-                f"{reference.gateway_mask:#x}"
-            )

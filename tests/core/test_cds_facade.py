@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.cds import compute_cds
+from repro.core.delta import CachedRuleEngine, DeltaCDSPipeline
 from repro.core.priority import scheme_by_name
 from repro.core.properties import is_cds
 from repro.core.reduction import prune
 from repro.core.marking import marked_mask
-from repro.errors import ConfigurationError
+from repro.core.sparse import SparseCDSPipeline
+from repro.core.sparse_delta import IncrementalSparseCDSPipeline
+from repro.core.vectorized import VectorizedCDSPipeline
+from repro.errors import ConfigurationError, InvariantViolation
 from repro.graphs import bitset
 from repro.graphs.generators import (
     clique,
@@ -108,3 +114,61 @@ class TestDeterminism:
             compute_cds(g, "el1", energy=base).gateways
             == compute_cds(g, "el1", energy=bumped).gateways
         )
+
+
+def _wrong_stats(stats):
+    return dataclasses.replace(stats, rounds=stats.rounds + 1)
+
+
+class TestShadowCheckComparesStats:
+    """Every pipeline's shadow check must reject a right mask whose
+    ``PruneStats`` differ from the scalar oracle's."""
+
+    def _corrupt_vectorized(self, pipe, monkeypatch):
+        real = pipe.engine.run
+
+        def run(packed, energy=None):
+            flags, stats = real(packed, energy)
+            return flags, [_wrong_stats(s) for s in stats]
+
+        monkeypatch.setattr(pipe.engine, "run", run)
+
+    _corrupt_sparse = _corrupt_vectorized
+
+    def _corrupt_incremental_sparse(self, pipe, monkeypatch):
+        real = pipe.engine.run_detailed
+
+        def run_detailed(csr, energy=None):
+            d = real(csr, energy)
+            return dataclasses.replace(d, rounds_c=d.rounds_c + 1)
+
+        monkeypatch.setattr(pipe.engine, "run_detailed", run_detailed)
+
+    def _corrupt_delta(self, pipe, monkeypatch):
+        # the pipeline builds a fresh engine on its cold start
+        real = CachedRuleEngine.run
+
+        def run(engine, marked, **kwargs):
+            final, stats = real(engine, marked, **kwargs)
+            return final, _wrong_stats(stats)
+
+        monkeypatch.setattr(CachedRuleEngine, "run", run)
+
+    @pytest.mark.parametrize(
+        "make, corrupt",
+        [
+            (VectorizedCDSPipeline, "_corrupt_vectorized"),
+            (SparseCDSPipeline, "_corrupt_sparse"),
+            (IncrementalSparseCDSPipeline, "_corrupt_incremental_sparse"),
+            (DeltaCDSPipeline, "_corrupt_delta"),
+        ],
+    )
+    def test_right_mask_wrong_stats_raises(
+        self, small_network, monkeypatch, make, corrupt
+    ):
+        clean = make("nd", shadow_check=True).compute(small_network)
+        assert clean.stats == compute_cds(small_network, "nd").stats
+        pipe = make("nd", shadow_check=True)
+        getattr(self, corrupt)(pipe, monkeypatch)
+        with pytest.raises(InvariantViolation, match="diverged"):
+            pipe.compute(small_network)

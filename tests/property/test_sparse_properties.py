@@ -16,11 +16,15 @@ rounds max)."""
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cds import compute_cds
+from repro.core.marking import marked_mask
 from repro.core.priority import SCHEMES
-from repro.core.sparse import compute_cds_sparse
+from repro.core.reduction import prune
+from repro.core.sparse import CSRBatch, SparseCDSEngine, compute_cds_sparse
+from repro.core.vectorized import flags_to_masks
 
 
 @st.composite
@@ -68,6 +72,57 @@ class TestSparseEngineEquivalence:
             )
             assert res[b].gateway_mask == want.gateway_mask
             assert res[b].stats == want.stats
+
+    @given(
+        sparse_batches(),
+        st.lists(st.integers(4, 24), min_size=1, max_size=3),
+        st.sampled_from(sorted(SCHEMES)),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([0, 10**6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_max_rounds_cap_matches_scalar(
+        self, payload, paths, scheme_name, max_rounds, dense_cutoff
+    ):
+        """Fixed-point rounds capped at ``max_rounds``, on both probes.
+
+        Every element gets extra squared-path components appended: their
+        first round removes nodes, so a second round runs and a cap of
+        one freezes them unstable.  ``dense_cutoff`` 0 sends every
+        component through the edge-key probe, 10**6 through packed words.
+        """
+        batch, energies = payload
+        n0 = len(batch[0])
+        n = n0 + sum(paths)
+        adjs, levels = [], []
+        for adj, energy in zip(batch, energies):
+            adj = adj + [0] * (n - n0)
+            start = n0
+            for length in paths:
+                for i in range(start, start + length):
+                    for j in (i + 1, i + 2):
+                        if j < start + length:
+                            adj[i] |= 1 << j
+                            adj[j] |= 1 << i
+                start += length
+            adjs.append(adj)
+            levels.append(energy + [float(v % 97) + 1.0 for v in range(n0, n)])
+        scheme = SCHEMES[scheme_name]
+        engine = SparseCDSEngine(
+            scheme, fixed_point=True, max_rounds=max_rounds,
+            dense_cutoff=dense_cutoff,
+        )
+        flags, stats = engine.run(
+            CSRBatch.from_adjacency(adjs), np.asarray(levels)
+        )
+        masks = flags_to_masks(flags)
+        for b, adj in enumerate(adjs):
+            want_mask, want_stats = prune(
+                adj, marked_mask(adj), scheme, levels[b],
+                fixed_point=True, max_rounds=max_rounds,
+            )
+            assert masks[b] == want_mask
+            assert stats[b] == want_stats
 
     @given(sparse_batches(), st.sampled_from(sorted(SCHEMES)))
     @settings(max_examples=20, deadline=None)
