@@ -14,13 +14,15 @@ bit-identity.  Script modes mirror ``bench_vectorized.py``::
 
 ``--smoke`` asserts sparse == scratch == vectorized masks + PruneStats
 over a seeded grid: word-boundary sizes, disconnected multi-component
-batches, a forced-CSR tier (``dense_cutoff=2``), and a tiny memory
-budget.  ``--record`` builds an N = 100k (default; ``--hosts`` scales)
-unit-disk graph straight from positions, runs one full interval per
-scheme under ``tracemalloc``, and merges latency + peak memory into
-``BENCH_pipeline.json`` under ``extra.sparse_100k`` (read-modify-write —
-the pytest session owns the rest of the file) and appends the headline
-numbers to ``BENCH_trajectory.json``.
+batches, a forced-CSR tier (``dense_cutoff=2``) on both of its membership
+probes (packed word rows, and sorted edge keys under a budget too small
+for the rows), and a tiny memory budget.  ``--record`` builds an
+N = 100k (default; ``--hosts`` scales) unit-disk graph straight from
+positions, runs one full interval per scheme under ``tracemalloc``,
+and merges latency + peak memory into ``BENCH_pipeline.json`` under
+``extra.sparse_100k`` (read-modify-write — the pytest session owns the
+rest of the file) and appends the headline numbers to
+``BENCH_trajectory.json``.
 """
 
 from __future__ import annotations
@@ -201,6 +203,18 @@ def _smoke(seed: int) -> int:
         dense_cutoff=2, memory_budget_mb=0.25,
     )
     print("equivalence ok: forced CSR tier + 0.25 MB budget")
+    # both cases above fit the big tier's packed word rows (n·⌈n/64⌉·8
+    # bytes) in their budget; half that budget keeps the sorted-edge-key
+    # probe in the grid
+    n = len(scattered[0])
+    rows_mb = len(scattered) * n * ((n + 63) // 64) * 8 / 2**20
+    _assert_equivalent(
+        scattered, label + " [key probe]", seed,
+        dense_cutoff=2, memory_budget_mb=rows_mb / 2,
+    )
+    engine = SparseCDSEngine("id", memory_budget_mb=rows_mb / 2)
+    assert not engine.word_rows_fit(len(scattered), n)
+    print(f"equivalence ok: forced CSR tier on the key probe ({n} nodes)")
     # from_positions == adjacency-derived CSR on one uniform field
     pos, side = _positions(600, seed)
     net = AdHocNetwork(pos.copy(), RADIUS, side=side)

@@ -28,12 +28,18 @@ Execution is two-tier, decided per connected component:
   baseline decomposition);
 * **big** (> cutoff): the dense engine's own kernels
   (:meth:`BatchCDSEngine._edge_miss` … :meth:`BatchCDSEngine._prune`) run
-  over the big components' edges with a different membership probe:
-  ``x ∈ N(u)`` becomes a binary search of the globally sorted edge-key
-  array ``eS·n + eD`` (:func:`_key_probe`; clamped ``searchsorted``, a
-  miss at the clamp boundary compares unequal by construction) instead
-  of a packed-word gather.  The edge/miss/triple tables are built in
-  chunks bounded by the engine's memory budget, never as a materialized
+  over the big components' edges.  The membership probe ``x ∈ N(u)`` is
+  chosen by what it costs in memory: when packed ``(B·n, W)`` word rows
+  of the big components' edges (``B·n·W·8`` bytes) fit the memory
+  budget, they are built straight from the edge arrays
+  (:func:`_word_rows`) and probed with the dense engine's single-word
+  gather (:func:`repro.core.vectorized._word_probe`) — N = 10k is
+  12.5 MB of rows.  Beyond the budget (N = 100k would need 1.25 GB) the
+  probe is a binary search of the globally sorted edge-key array
+  ``eS·n + eD`` (:func:`_key_probe`; clamped ``searchsorted``, a miss at
+  the clamp boundary compares unequal by construction), which costs
+  only the edges.  The edge/miss/triple tables are built in chunks
+  bounded by the engine's memory budget, never as a materialized
   ``(E, W)`` table.
 
 Equivalence contract
@@ -77,9 +83,12 @@ from repro.core.priority import PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.core.vectorized import (
+    _U64_1,
+    _U64_63,
     BatchCDSEngine,
     _scatter_any,
     _validate_energy,
+    _word_probe,
     chunk_bits,
     chunk_words,
     edge_table,
@@ -102,9 +111,10 @@ __all__ = [
 ]
 
 #: components at or below this size run as dense sub-batches; above it the
-#: shared kernels run on the sorted-edge-key probe.  2048 keeps a single
-#: dense component under ~8 MB of packed words while the crossover favors
-#: dense kernels.
+#: shared kernels run over the big components' edges.  The memory budget
+#: bounds the dense tier's unpacked ``(k, size, W·64)`` bool sub-batch
+#: (4 MB per 2048-node component), not its packed words (512 KB).
+#: DESIGN §10 compares the two tiers.
 DENSE_COMPONENT_CUTOFF = 2048
 
 
@@ -325,6 +335,25 @@ def _key_probe(keys: np.ndarray, n: int):
     return member
 
 
+def _word_rows(eS: np.ndarray, eD: np.ndarray, R: int, n: int) -> np.ndarray:
+    """Packed ``(R, W)`` uint64 adjacency rows of a sorted edge list.
+
+    ``eS`` holds flat source rows and ``eD`` local destinations in
+    ascending ``(source, destination)`` order, so the bits of one row word
+    are a contiguous run of edges: one ``bitwise_or.reduceat`` per run,
+    no unpacked bit matrix.  Rows without edges (and every padding bit)
+    stay zero, the tail-clean layout :func:`_word_probe` expects.
+    """
+    W = words_for(n)
+    rows = np.zeros(R * W, dtype=np.uint64)
+    if len(eS):
+        slot = eS * W + (eD >> 6)
+        bits = _U64_1 << (eD.astype(np.uint64) & _U64_63)
+        starts = np.flatnonzero(np.diff(slot, prepend=-1))
+        rows[slot[starts]] = np.bitwise_or.reduceat(bits, starts)
+    return rows.reshape(R, W)
+
+
 @dataclass(frozen=True)
 class SparseRunDetail:
     """Per-component results of one :meth:`SparseCDSEngine.run_detailed`.
@@ -350,9 +379,14 @@ class SparseCDSEngine:
 
     Components at or below ``dense_cutoff`` nodes are delegated to a
     held :class:`BatchCDSEngine` as same-size dense sub-batches; bigger
-    ones run that engine's kernels on the sorted-edge-key probe.  One
-    instance is bound to a scheme, the fixed-point mode, and a memory
-    budget; ``run`` is stateless across calls.
+    ones run that engine's kernels.  Their membership probe is a packed
+    word gather when the ``(B·n, W)`` word rows — ``B·n·⌈n/64⌉·8``
+    bytes, built once per :meth:`run_detailed` call and freed with it —
+    fit ``memory_budget_mb`` (:meth:`word_rows_fit`), and the
+    sorted-edge-key search otherwise; the obs counters
+    ``scds.word_probe_nodes`` and ``scds.csr_nodes`` show which one ran.
+    One instance is bound to a scheme, the fixed-point mode, and a
+    memory budget; ``run`` is stateless across calls.
     """
 
     def __init__(
@@ -377,6 +411,15 @@ class SparseCDSEngine:
             max_rounds=max_rounds,
             memory_budget_mb=self.memory_budget_mb,
         )
+
+    def word_rows_fit(self, B: int, n: int) -> bool:
+        """Whether the big tier's packed word rows fit the memory budget.
+
+        The rows span every flat id, ``B·n`` rows of ``⌈n/64⌉`` words,
+        whatever share of them the big components own.
+        """
+        rows_bytes = B * n * words_for(n) * 8
+        return rows_bytes <= self.memory_budget_mb * (1 << 20)
 
     # -- dense tier --------------------------------------------------------
 
@@ -549,7 +592,12 @@ class SparseCDSEngine:
                 obs.add("scds.components", C)
                 obs.add("scds.edges", len(eS))
                 obs.add("scds.dense_nodes", int(sizes[small].sum()))
-                obs.add("scds.csr_nodes", int(sizes[big].sum()))
+                big_nodes = int(sizes[big].sum())
+                obs.add("scds.csr_nodes", big_nodes)
+                obs.add(
+                    "scds.word_probe_nodes",
+                    big_nodes if self.word_rows_fit(B, n) else 0,
+                )
 
             if len(small_ids):
                 self._run_dense_groups(
@@ -583,10 +631,11 @@ class SparseCDSEngine:
         """Components above the dense cutoff, on the shared kernels.
 
         The dense engine's kernels run over the big components' edges
-        with the edge-key probe in place of the word gather, and its
-        round loop treats each component as a group: rounds count while
-        a component is active, and it freezes once stable (or capped by
-        ``max_rounds``), so the aggregate stats match the reference loop.
+        with the word gather when the rows fit the budget and the
+        edge-key search otherwise, and its round loop treats each
+        component as a group: rounds count while a component is active,
+        and it freezes once stable (or capped by ``max_rounds``), so the
+        aggregate stats match the reference loop.
         """
         C = len(initial_c)
         dense = self._dense
@@ -594,7 +643,10 @@ class SparseCDSEngine:
         besel = bignode[eS]
         beS, beDf, beD = eS[besel], eDf[besel], dst[besel]
         # globally sorted: (src, dst) ascending
-        member = _key_probe(beS * n + beD, n)
+        if self.word_rows_fit(B, n):
+            member = _word_probe(_word_rows(beS, beD, B * n, n))
+        else:
+            member = _key_probe(beS * n + beD, n)
         bdeg = np.where(bignode, deg, 0)
         boff = np.cumsum(bdeg) - bdeg
         miss = dense._edge_miss(member, beD, boff, bdeg, beS, beDf)

@@ -65,10 +65,11 @@ Every kernel asks adjacency questions through one callable,
 ``member(rows, cols) -> bool`` (is local node ``cols[k]`` in
 ``N(rows[k])``?).  Here it is a single-word gather from the packed rows
 (:func:`_word_probe`); the sparse engine's big-component tier
-(:mod:`repro.core.sparse`) passes a binary search over sorted edge keys
-and runs these same kernels and the same round loop
-(:meth:`BatchCDSEngine._prune`), with connected components in place of
-batch elements as the groups that count rounds and freeze.
+(:mod:`repro.core.sparse`) passes the same gather over word rows it packs
+from its edges when they fit the memory budget, and a binary search over
+sorted edge keys beyond it, and runs these same kernels and the same
+round loop (:meth:`BatchCDSEngine._prune`), with connected components in
+place of batch elements as the groups that count rounds and freeze.
 
 All expansions are chunked so peak temporary memory stays bounded
 regardless of n; the Python loops that remain iterate over *chunks*,
@@ -125,7 +126,17 @@ DEFAULT_MEMORY_BUDGET_MB = 64.0
 
 
 def resolve_memory_budget_mb(explicit: float | None = None) -> float:
-    """Chunking budget in MB: explicit arg > env var > default."""
+    """Chunking budget in MB: explicit arg > env var > default.
+
+    The budget sizes each streamed chunk's temporaries (``chunk_words``,
+    ``chunk_bits``) and the dense sub-batches of the sparse engine.  It
+    also decides the sparse big tier's membership probe: packed word rows
+    of ``B·n·⌈n/64⌉·8`` bytes are built for one engine call only when
+    they fit the budget (12.5 MB at n = 10k), and the probe otherwise
+    searches the sorted edge keys, which need no rows
+    (:meth:`repro.core.sparse.SparseCDSEngine.word_rows_fit`).  The rows
+    are one more budget-sized buffer beside the chunk temporaries.
+    """
     if explicit is None:
         raw = os.environ.get(MEMORY_BUDGET_ENV)
         if raw is not None:
@@ -279,7 +290,9 @@ def _word_probe(rows_flat: np.ndarray):
 
     ``member(rows, cols)[k]`` is bit ``cols[k]`` of row ``rows[k]`` — one
     single-word gather per query.  The kernels below take any probe of
-    this shape; the sparse engine passes a sorted-edge-key one instead.
+    this shape; the sparse engine's big tier uses this one over rows it
+    packs from its edges, or a sorted-edge-key one when those rows would
+    not fit the memory budget.
     """
 
     def member(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

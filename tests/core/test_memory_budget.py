@@ -39,7 +39,7 @@ from repro.core.vectorized import (
 )
 from repro.errors import ConfigurationError
 from repro.graphs.adhoc import AdHocNetwork
-from repro.graphs.generators import scaled_side
+from repro.graphs.generators import random_connected_network, scaled_side
 from repro.simulation.config import SimulationConfig
 
 RADIUS = 25.0
@@ -105,6 +105,63 @@ class TestBudgetNeverChangesResults:
         got = compute_cds_batch(adj, "el2", energies=energies)
         assert [r.gateway_mask for r in got] == [r.gateway_mask for r in want]
         assert [r.stats for r in got] == [r.stats for r in want]
+
+
+class TestWordRowsHonorBudget:
+    """The sparse big tier builds packed word rows (``B·n·⌈n/64⌉·8``
+    bytes) only when they fit the budget; the ``scds.word_probe_nodes``
+    counter says which probe each call used."""
+
+    N = 200  # one connected field: 200 rows of 4 words = 6400 bytes
+    ROWS_BYTES = 200 * 4 * 8
+
+    def _run(self, monkeypatch, budget_mb: float):
+        from repro import obs
+        from repro.core import sparse
+
+        built = []
+        real = sparse._word_rows
+
+        def spy(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sparse, "_word_rows", spy)
+        net = random_connected_network(
+            self.N, side=scaled_side(self.N), radius=RADIUS,
+            rng=np.random.default_rng(5),
+        )
+        csr = CSRBatch.from_adjacency([list(net.adjacency)])
+        engine = SparseCDSEngine(
+            "id", memory_budget_mb=budget_mb, dense_cutoff=2
+        )
+        with obs.capture() as reg:
+            engine.run(csr)
+        return engine, built, reg.counters
+
+    def test_rows_built_when_they_fit(self, monkeypatch):
+        budget = self.ROWS_BYTES / 2**20  # exactly the rows' size
+        engine, built, counters = self._run(monkeypatch, budget)
+        assert engine.word_rows_fit(1, self.N)
+        assert len(built) == 1
+        assert counters["scds.csr_nodes"] == self.N
+        assert counters["scds.word_probe_nodes"] == self.N
+
+    def test_rows_skipped_when_over_budget(self, monkeypatch):
+        budget = (self.ROWS_BYTES - 8) / 2**20
+        engine, built, counters = self._run(monkeypatch, budget)
+        assert not engine.word_rows_fit(1, self.N)
+        assert built == []
+        assert counters["scds.csr_nodes"] == self.N
+        assert counters["scds.word_probe_nodes"] == 0
+
+    def test_default_budget_sizes(self, monkeypatch):
+        """At 64 MB, N = 10k (12.5 MB of rows) takes the word probe and
+        N = 100k (1.25 GB) the key probe."""
+        monkeypatch.delenv(MEMORY_BUDGET_ENV, raising=False)
+        engine = SparseCDSEngine("el2")
+        assert engine.word_rows_fit(1, 10_000)
+        assert not engine.word_rows_fit(1, 100_000)
 
 
 def _n4096_instance(seed: int = 123):
