@@ -58,8 +58,8 @@ SCHEMES = ("nr", "id", "nd", "el1", "el2")
 BIG_HOSTS = 100_000
 #: --record asserts the tracemalloc peak stays under this multiple of
 #: ``max(CSR bytes, chunk budget)``.  Measured behavior: each streamed
-#: chunk materializes ~7-8 budget-sized int64 temporaries (miss lists,
-#: coverage probes, rank gathers), so peak ≈ 8x the chunk budget once
+#: chunk materializes ~7-8 budget-sized int64 temporaries (mask
+#: expansion, probe gathers, triple tables), so peak ≈ 8x the budget once
 #: edges overflow one chunk; 16x covers that with headroom while still
 #: catching a densification bug (a dense N=100k row table would be
 #: ~1.25 GB per 64 MB of budget — far past the limit).
@@ -215,6 +215,19 @@ def _smoke(seed: int) -> int:
     engine = SparseCDSEngine("id", memory_budget_mb=rows_mb / 2)
     assert not engine.word_rows_fit(len(scattered), n)
     print(f"equivalence ok: forced CSR tier on the key probe ({n} nodes)")
+    # one hub of degree >= 200 in a constant-density field: its miss
+    # masks are 4 words wide, so Rule-2 coverage takes the multi-word pass
+    n, hub_deg = 400, 220
+    pos, side = _positions(n, seed)
+    hub = list(AdHocNetwork(pos, RADIUS, side=side).adjacency)
+    rng = np.random.default_rng(seed)
+    for u in rng.choice(np.arange(1, n), size=hub_deg, replace=False).tolist():
+        hub[0] |= 1 << u
+        hub[u] |= 1
+    assert bin(hub[0]).count("1") >= 200
+    _assert_equivalent([hub], f"hub n={n}", seed)
+    _assert_equivalent([hub], f"hub n={n} [hub]", seed, dense_cutoff=2)
+    print(f"equivalence ok: [hub] degree {bin(hub[0]).count('1')}, both tiers")
     # from_positions == adjacency-derived CSR on one uniform field
     pos, side = _positions(600, seed)
     net = AdHocNetwork(pos.copy(), RADIUS, side=side)

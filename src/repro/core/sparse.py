@@ -28,19 +28,13 @@ Execution is two-tier, decided per connected component:
   baseline decomposition);
 * **big** (> cutoff): the dense engine's own kernels
   (:meth:`BatchCDSEngine._edge_miss` … :meth:`BatchCDSEngine._prune`) run
-  over the big components' edges.  The membership probe ``x ∈ N(u)`` is
-  chosen by what it costs in memory: when packed ``(B·n, W)`` word rows
-  of the big components' edges (``B·n·W·8`` bytes) fit the memory
-  budget, they are built straight from the edge arrays
-  (:func:`_word_rows`) and probed with the dense engine's single-word
-  gather (:func:`repro.core.vectorized._word_probe`) — N = 10k is
-  12.5 MB of rows.  Beyond the budget (N = 100k would need 1.25 GB) the
-  probe is a binary search of the globally sorted edge-key array
-  ``eS·n + eD`` (:func:`_key_probe`; clamped ``searchsorted``, a miss at
-  the clamp boundary compares unequal by construction), which costs
-  only the edges.  The edge/miss/triple tables are built in chunks
-  bounded by the engine's memory budget, never as a materialized
-  ``(E, W)`` table.
+  over the big components' edges.  The membership probe ``x ∈ N(u)``,
+  which only builds the per-edge miss masks, is chosen by its memory
+  cost: packed ``(B·n, W)`` word rows (``B·n·W·8`` bytes, 12.5 MB at
+  N = 10k) built from the edge arrays (:func:`_word_rows`) and read by
+  the single-word gather (:func:`repro.core.vectorized._word_probe`)
+  when they fit the budget, else a binary search of the sorted edge keys
+  ``eS·n + eD`` (:func:`_key_probe`), which costs only the edges.
 
 Equivalence contract
 --------------------
@@ -86,8 +80,9 @@ from repro.core.vectorized import (
     _U64_1,
     _U64_63,
     BatchCDSEngine,
+    _batch_inputs,
+    _batch_results,
     _scatter_any,
-    _validate_energy,
     _word_probe,
     chunk_bits,
     chunk_words,
@@ -315,22 +310,23 @@ def _key_probe(keys: np.ndarray, n: int):
     """Membership probe ``member(rows, cols)`` over sorted edge keys.
 
     ``keys`` is the sorted ``eS·n + eD`` array of the (sub)graph's edges;
-    ``member(rows, cols)[k]`` says whether ``(rows[k], cols[k])`` is one
-    of them — a binary search per query, the stand-in for the dense
-    engine's word gather (:func:`repro.core.vectorized._word_probe`).
-    ``searchsorted`` returning ``len(keys)`` means the query exceeds every
-    key, so clamping to the last slot compares unequal — no branch needed.
+    ``member(rows, cols)[k]`` is ``uint64`` 1 when ``(rows[k], cols[k])``
+    is one of them and 0 otherwise — a binary search per query, the
+    stand-in for the dense engine's word gather
+    (:func:`repro.core.vectorized._word_probe`).  ``searchsorted``
+    returning ``len(keys)`` means the query exceeds every key, so
+    clamping to the last slot compares unequal — no branch needed.
     """
 
     def member(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         if len(keys) == 0:
-            return np.zeros(len(rows), dtype=bool)
-        q = rows * n
-        del rows  # the caller's temporary: free it before the search
+            return np.zeros(len(rows), dtype=np.uint64)
+        q = rows
+        q *= n  # the caller's temporary: reused as the query key
         q += cols
         idx = np.searchsorted(keys, q)
         np.minimum(idx, len(keys) - 1, out=idx)
-        return keys[idx] == q
+        return (keys[idx] == q).astype(np.uint64)
 
     return member
 
@@ -381,7 +377,7 @@ class SparseCDSEngine:
     held :class:`BatchCDSEngine` as same-size dense sub-batches; bigger
     ones run that engine's kernels.  Their membership probe is a packed
     word gather when the ``(B·n, W)`` word rows — ``B·n·⌈n/64⌉·8``
-    bytes, built once per :meth:`run_detailed` call and freed with it —
+    bytes, built per call and freed once the miss masks are built —
     fit ``memory_budget_mb`` (:meth:`word_rows_fit`), and the
     sorted-edge-key search otherwise; the obs counters
     ``scds.word_probe_nodes`` and ``scds.csr_nodes`` show which one ran.
@@ -630,28 +626,30 @@ class SparseCDSEngine:
     ) -> None:
         """Components above the dense cutoff, on the shared kernels.
 
-        The dense engine's kernels run over the big components' edges
-        with the word gather when the rows fit the budget and the
-        edge-key search otherwise, and its round loop treats each
-        component as a group: rounds count while a component is active,
-        and it freezes once stable (or capped by ``max_rounds``), so the
+        The miss masks are built with the word gather when the rows fit
+        the budget and the edge-key search otherwise; the round loop
+        treats each component as a group (rounds count while it is
+        active, it freezes once stable or at ``max_rounds``), so the
         aggregate stats match the reference loop.
         """
         C = len(initial_c)
         dense = self._dense
-        bignode = big[comp_of]
-        besel = bignode[eS]
-        beS, beDf, beD = eS[besel], eDf[besel], dst[besel]
-        # globally sorted: (src, dst) ascending
-        if self.word_rows_fit(B, n):
-            member = _word_probe(_word_rows(beS, beD, B * n, n))
-        else:
-            member = _key_probe(beS * n + beD, n)
-        bdeg = np.where(bignode, deg, 0)
-        boff = np.cumsum(bdeg) - bdeg
-        miss = dense._edge_miss(member, beD, boff, bdeg, beS, beDf)
+        with obs.span("edge_table"):
+            bignode = big[comp_of]
+            besel = bignode[eS]
+            beS, beDf, beD = eS[besel], eDf[besel], dst[besel]
+            bdeg = np.where(bignode, deg, 0)
+            boff = np.cumsum(bdeg) - bdeg
+        with obs.span("edge_miss"):
+            # globally sorted: (src, dst) ascending
+            if self.word_rows_fit(B, n):
+                member = _word_probe(_word_rows(beS, beD, B * n, n))
+            else:
+                member = _key_probe(beS * n + beD, n)
+            miss = dense._edge_miss(member, beD, boff, bdeg, beS, beDf)
+            del member
 
-        marked0 = _scatter_any(beS[miss[0] >= 2], B * n)
+        marked0 = _scatter_any(beS[miss.cnt >= 2], B * n)
         mcomps = comp_of[np.flatnonzero(marked0)]
         if len(mcomps):
             initial_c += np.bincount(mcomps, minlength=C)
@@ -666,7 +664,7 @@ class SparseCDSEngine:
         rank = dense._ranks(deg, energy_arr, B, n)
         # components are closed, so every reverse edge is itself big
         current, rounds, rem1, rem2 = dense._prune(
-            member, miss, beS, beD, beDf, marked0, rank, comp_of, big
+            miss, beS, beDf, marked0, rank, comp_of, big
         )
         rounds_c += rounds
         rem1_c += rem1
@@ -687,16 +685,9 @@ def compute_cds_sparse(
     """Sparse batched :func:`repro.core.cds.compute_cds` (same contract as
     :func:`repro.core.vectorized.compute_cds_batch`, different substrate).
     """
-    sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-    adjs = [
-        list(a.adjacency) if hasattr(a, "adjacency") else list(a)
-        for a in adjacencies
-    ]
-    B = len(adjs)
-    if B == 0:
+    sch, adjs, energy_arr = _batch_inputs(adjacencies, scheme, energies)
+    if not adjs:
         return []
-    n = len(adjs[0])
-    energy_arr = _validate_energy(sch, energies, B, n)
     csr = CSRBatch.from_adjacency(adjs, memory_budget_mb=memory_budget_mb)
     engine = SparseCDSEngine(
         sch,
@@ -705,16 +696,7 @@ def compute_cds_sparse(
         dense_cutoff=dense_cutoff,
     )
     flags, stats = engine.run(csr, energy_arr)
-    masks = flags_to_masks(flags)
-    results = []
-    for b in range(B):
-        result = CDSResult(
-            scheme=sch.name, gateway_mask=masks[b], n=n, stats=stats[b]
-        )
-        if verify and (masks[b] or not marking_trivially_empty(adjs[b])):
-            verify_cds(adjs[b], masks[b], context=f"sparse scheme={sch.name}")
-        results.append(result)
-    return results
+    return _batch_results(sch, adjs, flags, stats, verify, "sparse")
 
 
 class SparseCDSPipeline:

@@ -41,35 +41,34 @@ For every element the gateway mask and :class:`PruneStats` are
 Scale tricks (what makes n = 10k feasible)
 ------------------------------------------
 The raw Rule-2 triple table is ``Σ_v deg(v)·(deg(v)-1)/2`` entries (~1.9M
-at n = 10k constant-density).  Two observations cut its cost by ~10×
-(profiled on exactly that workload):
-
-* **adjacency prefilter**: a firing pair must have ``w ∈ N(u)`` —
-  ``w ∈ N(v)`` needs covering, ``w ∉ N(w)``, so only ``N(u)`` can supply
-  it; one membership probe per triple kills ~40% of them;
-* **per-edge miss lists**: one expansion pass over the directed-edge
-  table (:meth:`BatchCDSEngine._edge_miss`) records, for every edge
-  ``(v, u)``, the set ``miss(v→u) = N(v) \\ N(u)`` (``u`` itself always
-  belongs).  Then *marking* is ``|miss| ≥ 2`` (some neighbor besides u is
-  unreachable from u), *Rule-1 coverage* ``N[v] ⊆ N[u]`` is ``|miss| ==
-  1``, and *Rule-2 coverage* ``N(v) ⊆ N(u) ∪ N(w)`` probes only
-  ``miss(v→u)`` against ``N(w)`` (:meth:`BatchCDSEngine._covered`) — ~3×
-  fewer probes than expanding all of ``N(v)``, and ~25× less traffic than
-  sweeping all ``W`` row words per triple.  The mutual-coverage case
-  flags reuse the same lists through the reverse-edge permutation
-  (``N(u) \\ N(v) = miss(u→v)``).
+at n = 10k constant-density), and every test on it is one AND of two
+masks built in one pass over the edge table
+(:meth:`BatchCDSEngine._edge_miss`): ``M[v→u] = N(v) \\ N(u)`` over
+``v``'s *local neighbour index* (bit ``p`` is ``v``'s ``p``-th neighbour).
+``u ∈ M[v→u]`` always, so *marking* is ``|M[v→u]| ≥ 2``, *Rule-1
+coverage* ``N[v] ⊆ N[u]`` is ``|M[v→u]| == 1``, *Rule-2 coverage*
+``N(v) ⊆ N(u) ∪ N(w)`` is ``M[v→u] & M[v→w] == 0`` (it implies
+``u ~ w``: ``w ∈ N(v)`` needs covering and ``w ∉ N(w)``), and the
+el1/el2 *mutual coverage* ``N(u) ⊆ N(v) ∪ N(w)`` is ``M[u→v] & M[u→w]
+== 0`` (``u→v`` by the reverse-edge permutation, ``u→w`` by one
+``searchsorted`` on the edge keys).  Both sides of an AND leave one node,
+so they share its width: the table is ragged, ``words_for(deg(v))``
+words per edge of ``v`` (``Σ_v deg(v)·⌈deg(v)/64⌉`` in all, one per edge
+at constant density), and only queries on rows wider than one word take
+a second pass (:meth:`_EdgeMasks.disjoint`).
 
 One kernel set, two probes
 --------------------------
-Every kernel asks adjacency questions through one callable,
-``member(rows, cols) -> bool`` (is local node ``cols[k]`` in
-``N(rows[k])``?).  Here it is a single-word gather from the packed rows
-(:func:`_word_probe`); the sparse engine's big-component tier
-(:mod:`repro.core.sparse`) passes the same gather over word rows it packs
-from its edges when they fit the memory budget, and a binary search over
-sorted edge keys beyond it, and runs these same kernels and the same
-round loop (:meth:`BatchCDSEngine._prune`), with connected components in
-place of batch elements as the groups that count rounds and freeze.
+The masks are the only adjacency question any kernel asks, through one
+callable ``member(rows, cols)`` (is local node ``cols[k]`` in
+``N(rows[k])``? as ``uint64`` 0/1).  Here it is a single-word gather
+from the packed rows (:func:`_word_probe`); the sparse engine's
+big-component tier (:mod:`repro.core.sparse`) passes the same gather
+over word rows it packs from its edges when they fit the memory budget,
+and a binary search over sorted edge keys beyond it, and runs these same
+kernels and the same round loop (:meth:`BatchCDSEngine._prune`), with
+connected components in place of batch elements as the groups that
+count rounds and freeze.
 
 All expansions are chunked so peak temporary memory stays bounded
 regardless of n; the Python loops that remain iterate over *chunks*,
@@ -79,7 +78,7 @@ never over nodes.
 from __future__ import annotations
 
 import os
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,7 +134,11 @@ def resolve_memory_budget_mb(explicit: float | None = None) -> float:
     they fit the budget (12.5 MB at n = 10k), and the probe otherwise
     searches the sorted edge keys, which need no rows
     (:meth:`repro.core.sparse.SparseCDSEngine.word_rows_fit`).  The rows
-    are one more budget-sized buffer beside the chunk temporaries.
+    are one more budget-sized buffer beside the chunk temporaries.  The
+    per-edge miss-mask table the kernels keep for a whole call is not
+    budgeted: it is ``Σ_v deg(v)·⌈deg(v)/64⌉`` words (about one word per
+    edge at constant density, 1.5 MB at n = 10k), the same order as the
+    edge arrays themselves.
     """
     if explicit is None:
         raw = os.environ.get(MEMORY_BUDGET_ENV)
@@ -288,19 +291,24 @@ def pair_index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _word_probe(rows_flat: np.ndarray):
     """Membership probe ``member(rows, cols)`` over packed word rows.
 
-    ``member(rows, cols)[k]`` is bit ``cols[k]`` of row ``rows[k]`` — one
-    single-word gather per query.  The kernels below take any probe of
-    this shape; the sparse engine's big tier uses this one over rows it
-    packs from its edges, or a sorted-edge-key one when those rows would
-    not fit the memory budget.
+    ``member(rows, cols)[k]`` is bit ``cols[k]`` of row ``rows[k]`` as a
+    ``uint64`` 0 or 1 — one single-word gather per query.
+    :meth:`BatchCDSEngine._edge_miss` takes any probe of this shape; the
+    sparse engine's big tier uses this one over rows it packs from its
+    edges, or a sorted-edge-key one when those rows would not fit the
+    memory budget.
     """
+    W = rows_flat.shape[1]
+    flat = rows_flat.reshape(-1)
 
     def member(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        words = rows_flat[rows, cols >> 6]
-        del rows  # the caller's temporary: free it before the shift
+        rows *= W  # the caller's temporary: reused as the word index
+        rows += cols >> 6
+        words = flat[rows]
+        del rows
         words >>= cols.astype(np.uint64) & _U64_63
         words &= _U64_1
-        return words.astype(bool)
+        return words
 
     return member
 
@@ -308,22 +316,23 @@ def _word_probe(rows_flat: np.ndarray):
 def _expand(counts: np.ndarray, budget: int):
     """Chunked expansion of segments of sizes ``counts`` into members.
 
-    Yields ``(lo, hi, owner, within)`` per chunk of segments
-    ``lo..hi-1``: member ``k`` belongs to segment ``lo + owner[k]`` at
-    position ``within[k]``.  Chunks hold about ``budget`` members on
-    average, so no expansion materializes more than that.
+    Yields ``(lo, hi, within)`` per chunk of segments ``lo..hi-1``: the
+    chunk's members in segment order, ``within[k]`` being member ``k``'s
+    position in its segment.  Chunks are cut on the cumulative counts,
+    so one holds at most ``budget`` members, or one whole segment that
+    is bigger on its own.
     """
     K = len(counts)
-    if K == 0:
-        return
-    step = max(1, int(budget / max(1.0, float(counts.mean()))))
-    for lo in range(0, K, step):
-        hi = min(K, lo + step)
+    cum = np.cumsum(counts)
+    lo = 0
+    while lo < K:
+        cap = cum[lo] - counts[lo] + budget
+        hi = max(lo + 1, int(np.searchsorted(cum, cap, side="right")))
         cnt = counts[lo:hi]
-        owner = np.repeat(np.arange(hi - lo, dtype=np.int64), cnt)
-        first = np.cumsum(cnt) - cnt
-        within = np.arange(len(owner), dtype=np.int64) - first[owner]
-        yield lo, hi, owner, within
+        within = np.arange(int(cnt.sum()), dtype=np.int64)
+        within -= np.repeat(np.cumsum(cnt) - cnt, cnt)
+        yield lo, hi, within
+        lo = hi
 
 
 def _scatter_any(hits: np.ndarray, size: int) -> np.ndarray:
@@ -340,23 +349,27 @@ def edge_table(
 
     Returns ``(eS, eD, eDf)``: flat source row, *local* destination node
     id, flat destination row — grouped by ascending source (and, within a
-    source, ascending destination).  Chunked over flat rows so the
-    unpacked bit matrix never exceeds ``chunk`` bits (defaults to the
-    module budget); the sparse CSR path reuses this builder directly.
+    source, ascending destination).  Only the nonzero row words are
+    unpacked, in chunks of at most ``chunk`` bits (defaults to the module
+    budget); the sparse CSR path reuses this builder directly.
     """
     if chunk is None:
         chunk = _CHUNK_BITS
-    R, W = rows_flat.shape
-    ncols = W * 64
-    rows_per = max(1, chunk // ncols)
+    W = rows_flat.shape[1]
+    flat = rows_flat.reshape(-1)
+    nz = np.flatnonzero(flat)  # ascending (row, word)
+    per = max(1, chunk >> 6)
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
-    for lo in range(0, R, rows_per):
-        blk = rows_flat[lo : lo + rows_per]
-        bits = np.unpackbits(blk.view(np.uint8), axis=1, bitorder="little")
-        flat = np.flatnonzero(bits)
-        src_parts.append(flat // ncols + lo)
-        dst_parts.append((flat % ncols).astype(np.int64))
+    for lo in range(0, len(nz), per):
+        at = nz[lo : lo + per]
+        bits = np.unpackbits(
+            flat[at].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+        )
+        word, bit = np.nonzero(bits)
+        at = at[word]
+        src_parts.append(at // W)
+        dst_parts.append((at % W) * 64 + bit)
     if not src_parts:
         e = np.empty(0, dtype=np.int64)
         return e, e, e
@@ -364,6 +377,33 @@ def edge_table(
     eD = np.concatenate(dst_parts)
     eDf = eS - eS % n + eD  # same element: flat row of the neighbor
     return eS, eD, eDf
+
+
+class _EdgeMasks(NamedTuple):
+    """Ragged miss masks: edge ``e``'s ``width[eS[e]]`` words at ``off[e]``,
+    ``cnt[e]`` bits set (:meth:`BatchCDSEngine._edge_miss`)."""
+
+    cnt: np.ndarray
+    words: np.ndarray
+    off: np.ndarray
+    width: np.ndarray  # per source row
+    wide: bool  # some row has more than 64 neighbours
+
+    def disjoint(self, src, ea, eb) -> np.ndarray:
+        """``M[ea[k]] & M[eb[k]] == 0``; both edges leave row ``src[k]``,
+        so both masks have its width.  Words past the first are ANDed
+        only for the still-disjoint queries of rows that have them."""
+        a, b = self.off[ea], self.off[eb]
+        out = (self.words[a] & self.words[b]) == 0
+        if not self.wide:
+            return out
+        w = self.width[src]
+        rest, j = np.flatnonzero(w > 1), 1
+        while len(rest):
+            out[rest] &= (self.words[a[rest] + j] & self.words[b[rest] + j]) == 0
+            j += 1
+            rest = rest[out[rest] & (w[rest] > j)]
+        return out
 
 
 class BatchCDSEngine:
@@ -396,10 +436,6 @@ class BatchCDSEngine:
         self._fast_keys = SCHEMES.get(self.scheme.name) is self.scheme
 
     # -- structure ---------------------------------------------------------
-
-    def _edge_table(self, rows_flat: np.ndarray, n: int):
-        """Directed edge table of the whole batch (see :func:`edge_table`)."""
-        return edge_table(rows_flat, n, self._chunk_bits)
 
     def _ranks(
         self,
@@ -443,54 +479,42 @@ class BatchCDSEngine:
 
     # -- kernels (shared with the sparse engine's big tier) ----------------
     #
-    # ``member(rows, cols)`` is the membership probe (module docstring);
-    # edge arrays ``(eS, eD, eDf)`` are in ascending (source, destination)
-    # order, and ``eoff``/``deg`` index each source's run of edges.
+    # ``member(rows, cols)`` is the membership probe (module docstring),
+    # used by ``_edge_miss`` only, and may overwrite ``rows``; edge arrays
+    # ``(eS, eD, eDf)`` are in ascending (source, destination) order, and
+    # ``eoff``/``deg`` index each source's run of edges.
 
-    def _edge_miss(self, member, eD, eoff, deg, eS, eDf):
-        """Per-directed-edge miss lists ``miss(v→u) = N(v) \\ N(u)``.
+    def _edge_miss(self, member, eD, eoff, deg, eS, eDf) -> "_EdgeMasks":
+        """Per-directed-edge miss masks ``M[v→u] = N(v) \\ N(u)``.
 
-        One expansion pass over the edge table; returns the CSR triple
-        ``(misscnt, missoff, misslist)`` indexed by edge id.  ``u`` itself
-        is always a member (``u ∈ N(v)``, ``u ∉ N(u)``), so:
+        One expansion pass over the edge table, the probe's only caller.
+        Bit ``p`` of ``M[v→u]`` is ``v``'s ``p``-th neighbour in
+        edge-table order, in ``words_for(deg(v))`` words per edge.
+        ``u`` itself is always a member (``u ∈ N(v)``, ``u ∉ N(u)``), so:
 
-        * ``misscnt == 1`` ⟺ ``N[v] ⊆ N[u]`` (Rule-1 closed coverage);
-        * ``misscnt >= 2`` ⟺ ``u`` certifies ``v``'s marking (some other
+        * ``cnt == 1`` ⟺ ``N[v] ⊆ N[u]`` (Rule-1 closed coverage);
+        * ``cnt >= 2`` ⟺ ``u`` certifies ``v``'s marking (some other
           neighbor of ``v`` is unreachable from ``u`` in one hop).
         """
-        E = len(eS)
-        if E == 0:
-            z = np.empty(0, dtype=np.int64)
-            return z, z, z
-        list_parts: list[np.ndarray] = []
-        owner_parts: list[np.ndarray] = []
-        for lo, hi, owner, within in _expand(deg[eS], self._chunk_words):
-            xs = eD[eoff[eS[lo:hi]][owner] + within]  # neighbors of v
-            miss = ~member(eDf[lo:hi][owner], xs)
-            list_parts.append(xs[miss])
-            owner_parts.append(owner[miss] + lo)
-        misslist = np.concatenate(list_parts)
-        misscnt = np.bincount(np.concatenate(owner_parts), minlength=E)
-        missoff = np.cumsum(misscnt) - misscnt
-        return misscnt, missoff, misslist
-
-    def _covered(self, member, miss, edges, probe_rows):
-        """Batched subset test: ``miss(edges[k]) ⊆ N(probe_rows[k])``?
-
-        Query ``k`` expands into one probe per member of its edge's miss
-        list — ``Σ misscnt[edges]`` probes instead of a ``W``-word sweep
-        per query (the miss lists hold ~7 entries at constant density
-        against ``W = 157`` words at n = 10k).  Empty lists are vacuously
-        covered.  Chunked so no expansion exceeds ``_chunk_words``.
-        """
-        misscnt, missoff, misslist = miss
-        out = np.empty(len(edges), dtype=bool)
-        chunks = _expand(misscnt[edges], self._chunk_words)
-        for lo, hi, owner, within in chunks:
-            xs = misslist[missoff[edges[lo:hi]][owner] + within]
-            hit = member(probe_rows[lo:hi][owner], xs)
-            out[lo:hi] = np.bincount(owner[~hit], minlength=hi - lo) == 0
-        return out
+        width = (deg + 63) >> 6  # words per edge of each source row
+        ew = width[eS]
+        off = np.cumsum(ew) - ew
+        words = np.empty(int(ew.sum()), dtype=np.uint64)
+        seg = deg[eS]
+        for lo, hi, within in _expand(seg, self._chunk_words):
+            cnt = seg[lo:hi]
+            xs = eD[np.repeat(eoff[eS[lo:hi]], cnt) + within]  # N(v)
+            bits = member(np.repeat(eDf[lo:hi], cnt), xs)
+            del xs
+            bits ^= _U64_1  # 1 where x ∉ N(u)
+            within &= 63
+            bits <<= within.astype(np.uint64)
+            # each edge's run of members packs into its own words
+            cut, w0 = np.flatnonzero(within == 0), off[lo]
+            words[w0 : w0 + len(cut)] = np.bitwise_or.reduceat(bits, cut)
+        pop = popcount_rows(words[:, None])
+        cnt = np.add.reduceat(pop, off) if len(off) else off
+        return _EdgeMasks(cnt, words, off, width, bool((width > 1).any()))
 
     def _rule1(self, eS, eDf, misscnt, marked, rank) -> np.ndarray:
         """Simultaneous Rule-1 pass: pure arithmetic on the miss counts."""
@@ -503,7 +527,7 @@ class BatchCDSEngine:
         removed = _scatter_any(eS[sel], len(marked))
         return marked & ~removed
 
-    def _firing_triples(self, member, miss, rev, eS, eD, eDf, marked, rank):
+    def _firing_triples(self, miss, rev, keys, eS, eDf, marked, rank):
         """All firing triples ``(v, u, w)`` of the current marked set.
 
         Returns flat arrays ``(fV, fUf, fWf)``: a triple fires iff its
@@ -528,6 +552,7 @@ class BatchCDSEngine:
         )
         row_bounds = np.unique(np.concatenate(([0], cuts + 1, [R])))
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        n_covered = 0
         for r0, r1 in zip(row_bounds[:-1].tolist(), row_bounds[1:].tolist()):
             i, j = pair_index_arrays(mdeg[r0:r1])
             if len(i) == 0:
@@ -536,67 +561,65 @@ class BatchCDSEngine:
             base = np.repeat(offs[r0:r1], pcs[r0:r1])
             gU = sel_idx[base + i]  # edge id of (v, u)
             gW = sel_idx[base + j]  # edge id of (v, w)
-            # prefilter — u and w must be adjacent: w ∈ N(v) needs
-            # covering, and w ∉ N(w), so only N(u) can supply it
-            keep = member(eDf[gU], eD[gW])
-            tV, gU, gW = tV[keep], gU[keep], gW[keep]
-            tUf, tWf = eDf[gU], eDf[gW]
-            # exact primary coverage: N(v) ⊆ N(u) ∪ N(w) ⟺ miss(v→u) ⊆
-            # N(w) (u ∈ miss(v→u) always hits: the prefilter put u ∈ N(w))
-            cov = self._covered(member, miss, gU, tWf)
-            cV, cUf, cWf = tV[cov], tUf[cov], tWf[cov]
-            if len(cV) == 0:
-                continue
+            # N(v) ⊆ N(u) ∪ N(w) ⟺ M[v→u] ∩ M[v→w] = ∅; it implies
+            # u ~ w (w ∈ N(v) needs covering and w ∉ N(w))
+            cov = miss.disjoint(tV, gU, gW)
+            cV, gU, gW = tV[cov], gU[cov], gW[cov]
+            n_covered += len(cV)
+            cUf, cWf = eDf[gU], eDf[gW]
             rv = rank[cV]
             lu = rv < rank[cUf]
             lw = rv < rank[cWf]
             if self.scheme.uses_coverage_cases:
                 # collapse of the paper's case table (cf. delta._eval_fire):
                 # the u-side key test is waived exactly when u is not
-                # mutually covered (N(u) ⊄ N(v) ∪ N(w)); symmetrically for
-                # w.  Through the reverse-edge permutation these reuse the
-                # miss lists: N(u) ⊆ N(v) ∪ N(w) ⟺ miss(u→v) ⊆ N(w) (v ∈
-                # N(w) since w, v are adjacent through the triple)
-                lu |= ~self._covered(member, miss, rev[gU[cov]], cWf)
-                lw |= ~self._covered(member, miss, rev[gW[cov]], cUf)
+                # mutually covered, N(u) ⊄ N(v) ∪ N(w) ⟺ M[u→v] ∩ M[u→w]
+                # ≠ ∅; symmetrically for w.  (u→w) is found by its key.
+                gUW = np.searchsorted(keys, cUf * R + cWf)
+                lu |= ~miss.disjoint(cUf, rev[gU], gUW)
+                lw |= ~miss.disjoint(cWf, rev[gW], rev[gUW])
             fire = lu & lw
             parts.append((cV[fire], cUf[fire], cWf[fire]))
-        if not parts:
-            return empty, empty, empty
-        fV, fUf, fWf = zip(*parts)
-        return np.concatenate(fV), np.concatenate(fUf), np.concatenate(fWf)
+        parts = parts or [(empty, empty, empty)]
+        fV, fUf, fWf = map(np.concatenate, zip(*parts))
+        if obs.enabled():
+            # the scalar engine's names: one primary test per pair
+            obs.add("rule2.coverage_tests", total)
+            obs.add("rule2.covered_triples", n_covered)
+            obs.add("rule2.firing_pairs", len(fV))
+        return fV, fUf, fWf
 
-    def _rule2(self, member, miss, rev, eS, eD, eDf, marked, rank):
+    def _rule2(self, miss, rev, keys, eS, eDf, marked, rank):
         """One Rule-2 pass: iterated local-minimum rounds over every group."""
         R = len(marked)
-        fV, fUf, fWf = self._firing_triples(
-            member, miss, rev, eS, eD, eDf, marked, rank
-        )
+        with obs.span("rule2_triples"):
+            fV, fUf, fWf = self._firing_triples(
+                miss, rev, keys, eS, eDf, marked, rank
+            )
         if len(fV) == 0:
             return marked
-        current = marked.copy()
-        cand = _scatter_any(fV, R)  # every initial triple is live
-        # rival scans run over edges inside the initial candidate set
-        ce = cand[eS] & cand[eDf]
-        ceS, ceD = eS[ce], eDf[ce]
-        while cand.any():
-            live = cand[ceS] & cand[ceD]
-            minr = np.full(R, _I32MAX, dtype=np.int32)
-            ls, ld = ceS[live], ceD[live]
-            if len(ls):
-                np.minimum.at(minr, ls, rank[ld])
-            commit = cand & (rank < minr)
-            if not commit.any():  # pragma: no cover - a global min commits
-                break
-            current &= ~commit
-            cand &= ~commit
-            alive = current[fUf] & current[fWf]
-            cand &= _scatter_any(fV[alive], R)
+        with obs.span("rule2_rounds"):
+            current = marked.copy()
+            cand = _scatter_any(fV, R)  # every initial triple is live
+            # rival scans run over edges inside the initial candidate set
+            ce = cand[eS] & cand[eDf]
+            ceS, ceD = eS[ce], eDf[ce]
+            while cand.any():
+                live = cand[ceS] & cand[ceD]
+                minr = np.full(R, _I32MAX, dtype=np.int32)
+                ls, ld = ceS[live], ceD[live]
+                if len(ls):
+                    np.minimum.at(minr, ls, rank[ld])
+                commit = cand & (rank < minr)
+                if not commit.any():  # pragma: no cover - a global min commits
+                    break
+                current &= ~commit
+                cand &= ~commit
+                alive = current[fUf] & current[fWf]
+                cand &= _scatter_any(fV[alive], R)
         return current
 
-    def _prune(
-        self, member, miss, eS, eD, eDf, marked, rank, group_of, active
-    ):
+    def _prune(self, miss, eS, eDf, marked, rank, group_of, active):
         """Rule 1 + Rule 2 rounds until every group is frozen.
 
         A *group* is a batch element (dense engine) or a connected
@@ -621,15 +644,16 @@ class BatchCDSEngine:
             return np.bincount(group_of[np.flatnonzero(flags)], minlength=G)
 
         # reverse-edge permutation: rev[k] is the edge (u→v) for edge
-        # k = (v→u); both edge orderings sort to the same pair sequence
+        # k = (v→u); both edge orderings sort to the same pair sequence.
+        # keys[k] = eS·R + eDf ascends with the edge id
         rev = np.lexsort((eS, eDf))
+        keys = eS * len(marked) + eDf
         current = marked
         while active.any():
             rounds += active
-            after1 = self._rule1(eS, eDf, miss[0], current, rank)
-            after2 = self._rule2(
-                member, miss, rev, eS, eD, eDf, after1, rank
-            )
+            with obs.span("rule1"):
+                after1 = self._rule1(eS, eDf, miss.cnt, current, rank)
+            after2 = self._rule2(miss, rev, keys, eS, eDf, after1, rank)
             removed1 += per_group(current & ~after1)
             removed2 += per_group(after1 & ~after2)
             active &= per_group(current ^ after2) > 0
@@ -670,14 +694,17 @@ class BatchCDSEngine:
 
         with obs.span("cds_batch"):
             rows_flat = packed.reshape(B * n, W)
-            eS, eD, eDf = self._edge_table(rows_flat, n)
+            with obs.span("edge_table"):
+                eS, eD, eDf = edge_table(rows_flat, n, self._chunk_bits)
             deg_flat = np.bincount(eS, minlength=B * n)
             eoff = np.cumsum(deg_flat) - deg_flat  # CSR starts into eD
-            member = _word_probe(rows_flat)
-            miss = self._edge_miss(member, eD, eoff, deg_flat, eS, eDf)
+            with obs.span("edge_miss"):
+                miss = self._edge_miss(
+                    _word_probe(rows_flat), eD, eoff, deg_flat, eS, eDf
+                )
 
             # marked iff some neighbor certifies: N(v) ⊄ N[u] ⟺ |miss| ≥ 2
-            marked0 = _scatter_any(eS[miss[0] >= 2], B * n)
+            marked0 = _scatter_any(eS[miss.cnt >= 2], B * n)
             initial_b = marked0.reshape(B, n).sum(axis=1)
 
             if obs.enabled():
@@ -698,7 +725,7 @@ class BatchCDSEngine:
                 energy_arr = np.asarray(energy, dtype=np.float64).reshape(B, n)
             rank = self._ranks(deg_flat, energy_arr, B, n)
             current, rounds_b, removed1_b, removed2_b = self._prune(
-                member, miss, eS, eD, eDf, marked0, rank,
+                miss, eS, eDf, marked0, rank,
                 np.repeat(np.arange(B, dtype=np.int64), n),
                 np.ones(B, dtype=bool),
             )
@@ -718,24 +745,39 @@ class BatchCDSEngine:
             return current.reshape(B, n), stats
 
 
-def _validate_energy(
-    sch: PriorityScheme,
-    energies,
-    B: int,
-    n: int,
-) -> np.ndarray | None:
+def _batch_inputs(adjacencies, scheme, energies):
+    """``(scheme, adjacency lists, (B, n) energies or None)`` of a batch
+    call; the energies are checked against the scheme and the shape."""
+    sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
+    adjs = [
+        list(a.adjacency) if hasattr(a, "adjacency") else list(a)
+        for a in adjacencies
+    ]
+    if not adjs:
+        return sch, adjs, None
     if sch.needs_energy and energies is None:
         raise ConfigurationError(
             f"scheme {sch.name!r} ranks by energy level; pass energies="
         )
     if energies is None:
-        return None
+        return sch, adjs, None
     arr = np.asarray(energies, dtype=np.float64)
+    B, n = len(adjs), len(adjs[0])
     if arr.shape != (B, n):
         raise ConfigurationError(
             f"energies has shape {arr.shape} for a ({B}, {n}) batch"
         )
-    return arr
+    return sch, adjs, arr
+
+
+def _batch_results(sch, adjs, flags, stats, verify, label):
+    """One :class:`CDSResult` per element, verified when asked."""
+    results = []
+    for b, mask in enumerate(flags_to_masks(flags)):
+        if verify and (mask or not marking_trivially_empty(adjs[b])):
+            verify_cds(adjs[b], mask, context=f"{label} scheme={sch.name}")
+        results.append(CDSResult(sch.name, mask, len(adjs[b]), stats[b]))
+    return results
 
 
 def compute_cds_batch(
@@ -754,31 +796,14 @@ def compute_cds_batch(
     returned :class:`CDSResult` is bit-identical (mask and stats) to the
     scalar facade on that element.
     """
-    sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-    adjs = [
-        list(a.adjacency) if hasattr(a, "adjacency") else list(a)
-        for a in adjacencies
-    ]
-    B = len(adjs)
-    if B == 0:
+    sch, adjs, energy_arr = _batch_inputs(adjacencies, scheme, energies)
+    if not adjs:
         return []
-    n = len(adjs[0])
-    energy_arr = _validate_energy(sch, energies, B, n)
-    packed = pack_batch(adjs)
     engine = BatchCDSEngine(
         sch, fixed_point=fixed_point, memory_budget_mb=memory_budget_mb
     )
-    flags, stats = engine.run(packed, energy_arr)
-    masks = flags_to_masks(flags)
-    results = []
-    for b in range(B):
-        result = CDSResult(
-            scheme=sch.name, gateway_mask=masks[b], n=n, stats=stats[b]
-        )
-        if verify and (masks[b] or not marking_trivially_empty(adjs[b])):
-            verify_cds(adjs[b], masks[b], context=f"vectorized scheme={sch.name}")
-        results.append(result)
-    return results
+    flags, stats = engine.run(pack_batch(adjs), energy_arr)
+    return _batch_results(sch, adjs, flags, stats, verify, "vectorized")
 
 
 def compute_cds_rule_k_batch(
@@ -794,28 +819,20 @@ def compute_cds_rule_k_batch(
     to the scalar per-component walk (they are few — almost all of them
     are genuine removals).
     """
-    sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-    adjs = [
-        list(a.adjacency) if hasattr(a, "adjacency") else list(a)
-        for a in adjacencies
-    ]
-    B = len(adjs)
-    if B == 0:
+    sch, adjs, energy_arr = _batch_inputs(adjacencies, scheme, energies)
+    if not adjs:
         return []
-    n = len(adjs[0])
-    energy_arr = _validate_energy(sch, energies, B, n)
-    packed = pack_batch(adjs)
-    engine = BatchCDSEngine(sch)
-    W = packed.shape[2]
-    rows_flat = packed.reshape(B * n, W) if n else packed.reshape(0, W)
+    B, n = len(adjs), len(adjs[0])
     if n == 0:
         return [frozenset()] * B
-    eS, eD, eDf = engine._edge_table(rows_flat, n)
+    engine = BatchCDSEngine(sch)
+    rows_flat = pack_batch(adjs).reshape(B * n, -1)
+    eS, eD, eDf = edge_table(rows_flat, n, engine._chunk_bits)
     deg_flat = np.bincount(eS, minlength=B * n)
     eoff = np.cumsum(deg_flat) - deg_flat
     misscnt = engine._edge_miss(
         _word_probe(rows_flat), eD, eoff, deg_flat, eS, eDf
-    )[0]
+    ).cnt
     marked = _scatter_any(eS[misscnt >= 2], B * n)
     if not sch.uses_rules:
         flags = marked.reshape(B, n)

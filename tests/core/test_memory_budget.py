@@ -164,6 +164,65 @@ class TestWordRowsHonorBudget:
         assert not engine.word_rows_fit(1, 100_000)
 
 
+class TestExpandChunksHonorBudget:
+    """``vectorized._expand`` cuts its chunks on the cumulative segment
+    counts: a chunk holds at most the member budget, or one whole segment
+    bigger than the budget on its own.  Sizing chunks by the *mean*
+    segment overran the budget on skewed degrees: on this input (a
+    3000-node field with one node joined to 1000 others) a single chunk
+    held 1 033 100 members against a 65 536-member budget (15.8×)."""
+
+    BUDGET_MB = 1.0
+
+    def _chunks(self, monkeypatch, run):
+        from repro.core import vectorized
+
+        seen = []
+        real = vectorized._expand
+
+        def spy(counts, budget):
+            for lo, hi, within in real(counts, budget):
+                seen.append((budget, len(within), counts[lo:hi].copy()))
+                yield lo, hi, within
+
+        monkeypatch.setattr(vectorized, "_expand", spy)
+        run()
+        return seen
+
+    def _check(self, seen):
+        assert seen
+        budget = seen[0][0]
+        assert budget == chunk_words(self.BUDGET_MB) == 65_536
+        for _, members, counts in seen:
+            assert members == counts.sum()
+            assert members <= budget or len(counts) == 1
+
+    def test_dense_engine(self, monkeypatch):
+        from tests.property.test_kernel_masks import hub_field, tied_levels
+
+        adj = hub_field()
+        levels = tied_levels(len(adj))[None, :]
+        engine = BatchCDSEngine("el2", memory_budget_mb=self.BUDGET_MB)
+        seen = self._chunks(
+            monkeypatch, lambda: engine.run(pack_batch([adj]), levels)
+        )
+        self._check(seen)
+        # every directed edge (v→u) expands into deg(v) members, once
+        deg = np.array([bin(row).count("1") for row in adj])
+        assert sum(m for _, m, _ in seen) == int((deg * deg).sum())
+
+    def test_sparse_big_tier(self, monkeypatch):
+        from tests.property.test_kernel_masks import hub_field, tied_levels
+
+        adj = hub_field()
+        levels = tied_levels(len(adj))[None, :]
+        csr = CSRBatch.from_adjacency([adj])
+        engine = SparseCDSEngine(
+            "el2", memory_budget_mb=self.BUDGET_MB, dense_cutoff=2
+        )
+        self._check(self._chunks(monkeypatch, lambda: engine.run(csr, levels)))
+
+
 def _n4096_instance(seed: int = 123):
     n = 4096
     side = scaled_side(n)

@@ -22,6 +22,7 @@ from repro.core.vectorized import (
     VectorizedCDSPipeline,
     compute_cds_batch,
     compute_cds_rule_k_batch,
+    edge_table,
     flags_to_masks,
     pack_adjacency,
     pack_batch,
@@ -208,3 +209,43 @@ class TestHelpers:
     def test_pack_adjacency_matches_pack_batch(self):
         adj = [2, 1, 0]
         assert np.array_equal(pack_adjacency(adj), pack_batch([adj])[0])
+
+
+class TestEdgeTableNonzeroWords:
+    """``edge_table`` unpacks only nonzero row words; its output must equal
+    a whole-row ``unpackbits`` reference, order included (ascending
+    source, then destination)."""
+
+    @staticmethod
+    def reference(rows: np.ndarray, n: int):
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+        eS, eD = np.nonzero(bits)
+        return eS, eD, eS - eS % n + eD
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("chunk", [None, 1 << 15])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.9])
+    def test_matches_unpackbits_reference(self, n, chunk, p):
+        rng = random.Random(n * 1000 + int(p * 10))
+        adjs = [rand_adj(n, p, rng) for _ in range(3)]
+        if n > 2:
+            # a node with no edges: an all-zero row inside the batch
+            for adj in adjs:
+                for u in range(n):
+                    adj[u] &= ~(1 << 1)
+                adj[1] = 0
+        rows = pack_batch(adjs).reshape(3 * n, -1)
+        got = edge_table(rows, n, chunk)
+        for g, w in zip(got, self.reference(rows, n)):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    def test_small_chunk_spans_many_words(self):
+        """A ``1 << 15``-bit chunk holds 512 words: a dense n = 1000 batch
+        is unpacked in dozens of chunks and must still come out whole."""
+        rng = random.Random(7)
+        adj = rand_adj(300, 0.5, rng) + [0] * 700
+        rows = pack_batch([adj]).reshape(1000, -1)
+        got = edge_table(rows, 1000, 1 << 15)
+        for g, w in zip(got, self.reference(rows, 1000)):
+            assert np.array_equal(g, w)
