@@ -16,7 +16,8 @@ bit-identity.  Script modes mirror ``bench_vectorized.py``::
 over a seeded grid: word-boundary sizes, disconnected multi-component
 batches, a forced-CSR tier (``dense_cutoff=2``) on both of its membership
 probes (packed word rows, and sorted edge keys under a budget too small
-for the rows), and a tiny memory budget.  ``--record`` builds an
+for the rows), a tiny memory budget, and a round-heavy Rule-2 input
+(``K_130`` minus a perfect matching).  ``--record`` builds an
 N = 100k (default; ``--hosts`` scales) unit-disk graph straight from
 positions, runs one full interval per scheme under ``tracemalloc``,
 and merges latency + peak memory into ``BENCH_pipeline.json`` under
@@ -228,6 +229,15 @@ def _smoke(seed: int) -> int:
     _assert_equivalent([hub], f"hub n={n}", seed)
     _assert_equivalent([hub], f"hub n={n} [hub]", seed, dense_cutoff=2)
     print(f"equivalence ok: [hub] degree {bin(hub[0]).count('1')}, both tiers")
+    # round-heavy Rule 2: K_130 minus a perfect matching; under nd every
+    # degree ties, 349k triples fire and the local-minimum rounds commit
+    # one non-adjacent pair each (63 rounds), so the worklist rounds of
+    # both engines run long
+    n = 130
+    full = (1 << n) - 1
+    k130 = [full & ~(1 << v) & ~(1 << (v ^ 1)) for v in range(n)]
+    _assert_equivalent([k130], "K130 minus matching [k130]", seed, dense_cutoff=2)
+    print("equivalence ok: [k130] round-heavy Rule 2, both engines")
     # from_positions == adjacency-derived CSR on one uniform field
     pos, side = _positions(600, seed)
     net = AdHocNetwork(pos.copy(), RADIUS, side=side)

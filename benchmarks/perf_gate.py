@@ -14,8 +14,11 @@ Comparability rules — the part that makes this honest across machines:
   machine out, so they are gated against the full history, strictly;
 * **absolute metrics** (wall-clock seconds) are only gated against runs
   recorded on the *same* platform + python signature; with no
-  same-platform history they bootstrap (record and pass) instead of
+  same-platform history they print ``UNGATED`` and pass instead of
   comparing apples to a different orchard.
+
+``--check`` never writes: only ``--record`` appends to the trajectory
+log, so a gate run on a new host leaves the checkout clean.
 
 Noise band: ``REPRO_PERF_BAND`` (default 0.35) — a measurement may be up
 to 35% worse than the recorded median before the gate trips.  Generous
@@ -210,17 +213,12 @@ def check(seed: int, path: str | Path | None = None) -> int:
             payload, metric.name, same_platform_only=metric.absolute
         )[-HISTORY_WINDOW:]
         if not history:
-            # bootstrap: nothing comparable on record — store this run so
-            # the next check has a baseline, and pass
-            perf_trajectory.append_run(
-                metric.name, current, metric.unit,
-                meta={"seed": seed, "gate": True, "bootstrap": True},
-                path=path,
-            )
+            # nothing comparable on record: report and pass; only
+            # --record writes the trajectory log
             scope = "same-platform " if metric.absolute else ""
             print(
-                f"BOOTSTRAP {metric.name} = {current:.4g} {metric.unit} "
-                f"(no {scope}history; recorded as baseline)"
+                f"   UNGATED {metric.name} = {current:.4g} {metric.unit} "
+                f"(no {scope}history)"
             )
             continue
         median = float(np.median(history))
@@ -260,8 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--check", action="store_true",
-        help="measure and gate against the recorded medians (CI mode); "
-        "metrics with no comparable history bootstrap instead of failing",
+        help="measure and gate against the recorded medians (CI mode, "
+        "read-only); metrics with no comparable history pass ungated",
     )
     p.add_argument("--seed", type=int, default=2001)
     p.add_argument(
