@@ -33,7 +33,11 @@ It then replays service churn: one N = 1000 :class:`UpdateStream` tenant
 (moves, drains, joins, leaves) driven through :class:`DeltaCDSPipeline`
 with ``ids``, so membership changes are spliced.  Every mask must equal
 :func:`compute_cds`, and a single-move compute must beat a cold compute
-on the same state.
+on the same state.  Its ``[grid patch]`` case replays 10 stability-0.9
+steps at N = 2000, above the dense cutoff, so
+:meth:`AdHocNetwork.apply_moves` takes its grid branch, plus one forced
+:class:`MobilityManager` rollback; rows and changed masks must equal a
+full rebuild.
 """
 
 from __future__ import annotations
@@ -296,6 +300,8 @@ def _smoke(seed: int, intervals: int) -> int:
         return 1
     if _churn_smoke(seed):
         return 1
+    if _grid_patch_smoke(seed):
+        return 1
     print("smoke ok")
     return 0
 
@@ -366,6 +372,57 @@ def _churn_smoke(seed: int, hosts: int = 1000, batches: int = 24) -> int:
     if move >= cold:
         print("FAIL: a single-move compute is not faster than a cold one")
         return 1
+    return 0
+
+
+def _grid_patch_smoke(seed: int, hosts: int = 2000, steps: int = 10) -> int:
+    """[grid patch] apply_moves above the dense cutoff vs full rebuilds."""
+    from repro.graphs.generators import scaled_side
+    from repro.graphs.unitdisk import unit_disk_adjacency
+    from repro.mobility.manager import MobilityManager
+
+    side = scaled_side(hosts)
+    net = random_connected_network(hosts, side=side, radius=RADIUS, rng=seed)
+    region = Region2D(side=side)
+    walk = PaperWalk(stability=STABILITY)
+    rng = np.random.default_rng(seed + 1)
+    rows = list(net.adjacency)
+    for s in range(steps):
+        before = net.positions.copy()
+        walk.step(net.positions, region, rng)
+        moved = np.flatnonzero(np.any(net.positions != before, axis=1))
+        changed = net.apply_moves(moved)
+        want = unit_disk_adjacency(net.positions, RADIUS)
+        diff = sum(1 << v for v in range(hosts) if rows[v] != want[v])
+        if net.adjacency != want or changed != diff:
+            print(f"FAIL: [grid patch] step {s} diverged from a full rebuild")
+            return 1
+        rows = want
+
+    class Stranding:
+        """The walk, with host 0 sent out of range on the first call."""
+
+        strand = True
+
+        def step(self, positions, region, rng):
+            walk.step(positions, region, rng)
+            if self.strand:
+                self.strand = False
+                positions[0] = (-10.0 * side, -10.0 * side)
+
+    mm = MobilityManager(
+        net, Stranding(), region, on_disconnect="retry", rng=rng
+    )
+    mm.step()
+    if mm.retries_used != 1 or net.adjacency != unit_disk_adjacency(
+        net.positions, RADIUS
+    ):
+        print("FAIL: [grid patch] rollback did not restore a rebuild's rows")
+        return 1
+    print(
+        f"[grid patch] ok: N={hosts}, {steps} steps at stability "
+        f"{STABILITY} and one rollback equal full rebuilds"
+    )
     return 0
 
 

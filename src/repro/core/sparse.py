@@ -14,7 +14,7 @@ A :class:`CSRBatch` stacks ``B`` same-``n`` topologies as one flat CSR:
 ``indptr`` has ``B·n + 1`` entries over flat rows ``b·n + v`` and ``dst``
 holds *local* destination ids sorted ascending within each row — exactly
 the ``(eS, eD)`` order the dense edge table produces, so the reverse-edge
-lexsort trick and the sorted-key membership probe both carry over.
+sort trick and the sorted-key membership probe both carry over.
 
 Execution is two-tier, decided per connected component:
 
@@ -31,7 +31,8 @@ Execution is two-tier, decided per connected component:
   over the big components' edges.  The membership probe ``x ∈ N(u)``,
   which only builds the per-edge miss masks, is chosen by its memory
   cost: packed ``(B·n, W)`` word rows (``B·n·W·8`` bytes, 12.5 MB at
-  N = 10k) built from the edge arrays (:func:`_word_rows`) and read by
+  N = 10k) built from the edge arrays
+  (:func:`repro.graphs.unitdisk._word_rows`) and read by
   the single-word gather (:func:`repro.core.vectorized._word_probe`)
   when they fit the budget, else a binary search of the sorted edge keys
   ``eS·n + eD`` (:func:`_key_probe`), which costs only the edges.
@@ -77,8 +78,6 @@ from repro.core.priority import PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.core.vectorized import (
-    _U64_1,
-    _U64_63,
     BatchCDSEngine,
     _batch_inputs,
     _batch_results,
@@ -93,13 +92,17 @@ from repro.core.vectorized import (
     words_for,
 )
 from repro.errors import ConfigurationError
+from repro.graphs.unitdisk import (
+    _word_rows,
+    sorted_pairs,
+    unit_disk_edge_lists,
+)
 
 __all__ = [
     "DENSE_COMPONENT_CUTOFF",
     "CSRBatch",
     "SparseRunDetail",
     "connected_labels",
-    "unit_disk_edge_lists",
     "SparseCDSEngine",
     "compute_cds_sparse",
     "SparseCDSPipeline",
@@ -159,10 +162,15 @@ class CSRBatch:
         W = packed.shape[2]
         rows_flat = packed.reshape(B * n, W)
         eS, eD, _ = edge_table(rows_flat, n, chunk_bits(memory_budget_mb))
-        deg = np.bincount(eS, minlength=B * n)
+        return cls.from_sorted_edges(eS, eD, B, n)
+
+    @classmethod
+    def from_sorted_edges(cls, src, dst, B: int, n: int) -> "CSRBatch":
+        """CSR of flat source rows ``src`` and local ``dst`` given in
+        ascending ``(src, dst)`` order."""
         indptr = np.zeros(B * n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        return cls(indptr, eD, B, n)
+        np.cumsum(np.bincount(src, minlength=B * n), out=indptr[1:])
+        return cls(indptr, dst, B, n)
 
     @classmethod
     def from_positions(
@@ -174,107 +182,21 @@ class CSRBatch:
     ) -> "CSRBatch":
         """Unit-disk CSR straight from ``(n, 2)`` positions (batch of 1).
 
-        Grid hashing with cell = radius and 3×3 candidate probes, chunked
-        by the memory budget.  The distance arithmetic is bit-identical to
-        :func:`repro.graphs.unitdisk.unit_disk_adjacency_grid`
-        (``Σ (Δ)²`` in float64, inclusive ``d² ≤ r²``), so the edge set
-        matches the dense builders exactly — without ever allocating an
-        ``n``-bit row.
+        The grid edge lists of
+        :func:`repro.graphs.unitdisk.unit_disk_edge_lists`, chunked by the
+        memory budget: the edge set of the dense builders, without ever
+        allocating an ``n``-bit row.
         """
         pos = np.ascontiguousarray(positions, dtype=np.float64)
         n = len(pos)
-        empty = np.empty(0, dtype=np.int64)
         if n == 0:
+            empty = np.empty(0, dtype=np.int64)
             return cls(np.zeros(1, dtype=np.int64), empty, 1, 0)
         src, dst = unit_disk_edge_lists(
-            pos,
-            radius,
-            np.arange(n, dtype=np.int64),
+            pos, radius, np.arange(n, dtype=np.int64),
             chunk_words(memory_budget_mb),
         )
-        if len(src) == 0:
-            return cls(np.zeros(n + 1, dtype=np.int64), empty, 1, n)
-        perm = np.lexsort((dst, src))
-        src, dst = src[perm], dst[perm]
-        deg = np.bincount(src, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        return cls(indptr, dst, 1, n)
-
-
-def unit_disk_edge_lists(
-    pos: np.ndarray,
-    radius: float,
-    srcs: np.ndarray,
-    budget_words: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-disk ``(src, dst)`` directed edge lists for a source subset.
-
-    Candidates come from the 3×3 grid-cell block around each source (cell
-    size = radius), expanded in chunks bounded by ``budget_words``.  The
-    distance arithmetic (``Σ (Δ)²`` in float64, inclusive ``d² ≤ r²``)
-    matches :func:`repro.graphs.unitdisk.unit_disk_adjacency_grid` bit for
-    bit, so calling this for *all* nodes reproduces
-    :meth:`CSRBatch.from_positions` and calling it for just the movers
-    yields rows bit-identical to a full rebuild — the property the
-    incremental pipeline's CSR patching rests on.  Edges are returned
-    unsorted (grouped by chunk); callers lexsort.
-    """
-    empty = np.empty(0, dtype=np.int64)
-    k = len(srcs)
-    if k == 0:
-        return empty, empty
-    n = len(pos)
-    r2 = radius * radius
-    keys = np.floor(pos / radius).astype(np.int64)
-    kx = keys[:, 0] - keys[:, 0].min()
-    ky = keys[:, 1] - keys[:, 1].min()
-    # +1 shift and a +3 stride make every ±1 cell offset a distinct
-    # code with no wraparound, so the 9 probes never double-count
-    stride = int(ky.max()) + 3
-    code = (kx + 1) * stride + (ky + 1)
-    order = np.argsort(code, kind="stable")
-    sorted_codes = code[order]
-    ucodes, ustarts = np.unique(sorted_codes, return_index=True)
-    ucounts = np.diff(np.append(ustarts, n))
-    starts9 = np.empty((9, k), dtype=np.int64)
-    counts9 = np.zeros((9, k), dtype=np.int64)
-    scode = code[srcs]
-    j = 0
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            target = scode + dx * stride + dy
-            ci = np.searchsorted(ucodes, target)
-            ci = np.minimum(ci, len(ucodes) - 1)
-            ok = ucodes[ci] == target
-            starts9[j] = np.where(ok, ustarts[ci], 0)
-            counts9[j] = np.where(ok, ucounts[ci], 0)
-            j += 1
-    per_node = counts9.sum(axis=0)
-    avg = max(1.0, float(per_node.mean()))
-    step = max(1, int(budget_words / avg))
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    for lo in range(0, k, step):
-        hi = min(k, lo + step)
-        cnt = counts9[:, lo:hi].ravel()
-        total = int(cnt.sum())
-        if total == 0:
-            continue
-        owner = np.repeat(np.arange(len(cnt), dtype=np.int64), cnt)
-        first = np.cumsum(cnt) - cnt
-        within = np.arange(total, dtype=np.int64) - first[owner]
-        cand = order[starts9[:, lo:hi].ravel()[owner] + within]
-        ss = np.tile(srcs[lo:hi], 9)[owner]
-        d = pos[cand] - pos[ss]
-        dsq = d * d
-        d2 = dsq[:, 0] + dsq[:, 1]
-        keep = (d2 <= r2) & (cand != ss)
-        src_parts.append(ss[keep])
-        dst_parts.append(cand[keep])
-    if not src_parts:
-        return empty, empty
-    return np.concatenate(src_parts), np.concatenate(dst_parts)
+        return cls.from_sorted_edges(*sorted_pairs(src, dst, n), 1, n)
 
 
 def connected_labels(indptr: np.ndarray, dst_flat: np.ndarray) -> np.ndarray:
@@ -329,25 +251,6 @@ def _key_probe(keys: np.ndarray, n: int):
         return (keys[idx] == q).astype(np.uint64)
 
     return member
-
-
-def _word_rows(eS: np.ndarray, eD: np.ndarray, R: int, n: int) -> np.ndarray:
-    """Packed ``(R, W)`` uint64 adjacency rows of a sorted edge list.
-
-    ``eS`` holds flat source rows and ``eD`` local destinations in
-    ascending ``(source, destination)`` order, so the bits of one row word
-    are a contiguous run of edges: one ``bitwise_or.reduceat`` per run,
-    no unpacked bit matrix.  Rows without edges (and every padding bit)
-    stay zero, the tail-clean layout :func:`_word_probe` expects.
-    """
-    W = words_for(n)
-    rows = np.zeros(R * W, dtype=np.uint64)
-    if len(eS):
-        slot = eS * W + (eD >> 6)
-        bits = _U64_1 << (eD.astype(np.uint64) & _U64_63)
-        starts = np.flatnonzero(np.diff(slot, prepend=-1))
-        rows[slot[starts]] = np.bitwise_or.reduceat(bits, starts)
-    return rows.reshape(R, W)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ intervals and recomputes only what a change can reach:
    and ``radius``, i.e. :class:`~repro.graphs.adhoc.AdHocNetwork`), the
    pipeline diffs cached positions to find movers and rebuilds *only
    their* rows via the grid spatial hash
-   (:func:`repro.core.sparse.unit_disk_edge_lists` — the same
+   (:func:`repro.graphs.unitdisk.unit_disk_edge_lists` — the same
    bit-identical distance math the full builder uses, so the patched CSR
    equals a from-scratch build array for array).  Old edges with neither
    endpoint moved are kept; reverse edges into unmoved neighbors are
@@ -76,12 +76,9 @@ from repro.core.marking import marking_trivially_empty
 from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
-from repro.core.sparse import (
-    CSRBatch,
-    SparseCDSEngine,
-    unit_disk_edge_lists,
-)
+from repro.core.sparse import CSRBatch, SparseCDSEngine
 from repro.core.vectorized import chunk_words, flags_to_masks
+from repro.graphs.unitdisk import sorted_pairs, unit_disk_edge_lists
 
 __all__ = ["IncrementalSparseCDSPipeline", "sub_csr"]
 
@@ -94,8 +91,11 @@ def sub_csr(csr: CSRBatch, nodes: np.ndarray) -> CSRBatch:
     ``nodes`` must be closed under adjacency (a union of connected
     components) so every destination remaps; local ids are the ranks of
     the global ids, an order-preserving remap — the same argument the
-    engine's dense tier makes for its id tiebreaks.
+    engine's dense tier makes for its id tiebreaks.  When ``nodes`` is
+    every row the remap is the identity, so ``csr`` comes back as is.
     """
+    if len(nodes) == len(csr.indptr) - 1:
+        return csr
     indptr, dst = csr.indptr, csr.dst
     counts = indptr[nodes + 1] - indptr[nodes]
     total = int(counts.sum())
@@ -277,18 +277,16 @@ class IncrementalSparseCDSPipeline:
         revk = ~mflag[mD]
         new_src = np.concatenate([oS[keep], mS, mD[revk]])
         new_dst = np.concatenate([dst[keep], mD, mS[revk]])
-        perm = np.lexsort((new_dst, new_src))
-        new_src, new_dst = new_src[perm], new_dst[perm]
-        ndeg = np.bincount(new_src, minlength=n)
-        new_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(ndeg, out=new_indptr[1:])
+        new_csr = CSRBatch.from_sorted_edges(
+            *sorted_pairs(new_src, new_dst, n), 1, n
+        )
         old_keys = oS[minc] * n + dst[minc]
         new_keys = np.concatenate(
             [mS * n + mD, mD[revk] * n + mS[revk]]
         )
         delta = np.setxor1d(old_keys, new_keys)
         changed = np.unique(np.concatenate([delta // n, delta % n]))
-        return CSRBatch(new_indptr, new_dst, 1, n), changed
+        return new_csr, changed
 
     # -- driver --------------------------------------------------------------
 

@@ -97,6 +97,7 @@ from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.errors import ConfigurationError
+from repro.graphs.unitdisk import _U64_1, _U64_63, edge_table, popcount_rows
 
 __all__ = [
     "words_for",
@@ -120,15 +121,13 @@ __all__ = [
     "VectorizedCDSPipeline",
 ]
 
-_U64_1 = np.uint64(1)
-_U64_63 = np.uint64(63)
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: env var overriding the per-engine chunking budget (megabytes, float).
 MEMORY_BUDGET_ENV = "REPRO_MEMORY_BUDGET_MB"
 #: default budget.  ``chunk_words``/``chunk_bits`` at this value reproduce
 #: the historical hardcoded constants exactly (32 MiB of gathered uint64
-#: words per sweep chunk, 64 Mib of unpacked bits per edge-table chunk).
+#: words per sweep chunk, 64 Mib of row bits per edge-table chunk).
 DEFAULT_MEMORY_BUDGET_MB = 64.0
 
 
@@ -180,13 +179,11 @@ def chunk_words(budget_mb: float | None = None) -> int:
 
 
 def chunk_bits(budget_mb: float | None = None) -> int:
-    """Unpacked-bit budget per edge-table chunk (the old ``_CHUNK_BITS``)."""
+    """Bit budget per edge-table chunk: ``edge_table`` peels ``bits >> 6``
+    words per chunk (the old ``_CHUNK_BITS``)."""
     mb = resolve_memory_budget_mb(budget_mb)
     return max(1 << 15, int(mb * (1 << 26) / DEFAULT_MEMORY_BUDGET_MB))
 
-
-#: unpacked-bit budget per chunk of the edge-table builder (64 MiB).
-_CHUNK_BITS = chunk_bits(DEFAULT_MEMORY_BUDGET_MB)
 
 #: members per streamed block of the shared kernels, whatever the budget
 #: allows: 64 Ki int64/uint64 elements are 512 KiB per temporary, so a
@@ -194,8 +191,6 @@ _CHUNK_BITS = chunk_bits(DEFAULT_MEMORY_BUDGET_MB)
 #: 4 Mi-element blocks spilled every temporary to memory and ran the
 #: miss-mask and triple passes about 1.7x slower at N = 4000 (DESIGN §10).
 CACHE_BLOCK = 1 << 16
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
 def words_for(n: int) -> int:
@@ -259,16 +254,6 @@ def pack_batch(adjacencies: Sequence[Sequence[int]]) -> np.ndarray:
     return out
 
 
-def popcount_rows(rows: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a ``(..., W)`` word matrix -> ``(...,)`` int64."""
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
-    bits = np.unpackbits(
-        np.ascontiguousarray(rows).view(np.uint8), axis=-1, bitorder="little"
-    )
-    return bits.sum(axis=-1, dtype=np.int64)
-
-
 def flags_to_masks(flags: np.ndarray) -> list[int]:
     """``(B, n)`` boolean flags -> per-element bitmask ints."""
     if flags.shape[1] == 0:
@@ -281,12 +266,12 @@ def pair_index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All index pairs ``(i, j)``, ``i < j``, per group, concatenated.
 
     For each group size ``c`` in ``counts`` this emits its ``c·(c-1)/2``
-    pairs grouped by ascending ``j`` — a closed-form decode of the pair
-    ordinal ``t = j·(j-1)/2 + i`` (float sqrt estimate plus an exact
-    integer correction), so no per-group Python loop and no memoized
-    triangle templates.  Pair order *within* a group differs from
-    ``np.triu_indices`` (by-j vs row-major) but every consumer treats the
-    pair list as a set.
+    pairs grouped by ascending ``j``.  In by-``j`` order a group's pairs
+    are the first ``c·(c-1)/2`` entries of one triangle template sized
+    to the largest group, so every group is a gather from that template:
+    no per-group Python loop, and the template is never larger than the
+    output.  Pair order *within* a group differs from ``np.triu_indices``
+    (by-j vs row-major) but every consumer treats the pair list as a set.
     """
     counts = np.asarray(counts, dtype=np.int64)
     pcs = counts * (counts - 1) >> 1
@@ -294,16 +279,12 @@ def pair_index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    starts = np.repeat(np.cumsum(pcs) - pcs, pcs)
-    t = np.arange(total, dtype=np.int64) - starts
-    j = ((1.0 + np.sqrt(8.0 * t.astype(np.float64) + 1.0)) * 0.5).astype(
-        np.int64
-    )
-    for _ in range(2):  # exact integer correction of the float estimate
-        j -= j * (j - 1) >> 1 > t
-        j += (j + 1) * j >> 1 <= t
-    i = t - (j * (j - 1) >> 1)
-    return i, j
+    top = int(counts.max())
+    tj = np.repeat(np.arange(top, dtype=np.int64), np.arange(top))
+    ti = np.arange(len(tj), dtype=np.int64) - (tj * (tj - 1) >> 1)
+    t = np.arange(total, dtype=np.int64)
+    t -= np.repeat(np.cumsum(pcs) - pcs, pcs)
+    return ti[t], tj[t]
 
 
 def _word_probe(rows_flat: np.ndarray):
@@ -366,43 +347,6 @@ def _scatter_any(hits: np.ndarray, size: int) -> np.ndarray:
     if len(hits) == 0:
         return np.zeros(size, dtype=bool)
     return np.bincount(hits, minlength=size).astype(bool)
-
-
-def edge_table(
-    rows_flat: np.ndarray, n: int, chunk: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directed edge table of a flat ``(R, W)`` packed-row batch.
-
-    Returns ``(eS, eD, eDf)``: flat source row, *local* destination node
-    id, flat destination row — grouped by ascending source (and, within a
-    source, ascending destination).  Only the nonzero row words are
-    unpacked, in chunks of at most ``chunk`` bits (defaults to the module
-    budget); the sparse CSR path reuses this builder directly.
-    """
-    if chunk is None:
-        chunk = _CHUNK_BITS
-    W = rows_flat.shape[1]
-    flat = rows_flat.reshape(-1)
-    nz = np.flatnonzero(flat)  # ascending (row, word)
-    per = max(1, chunk >> 6)
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    for lo in range(0, len(nz), per):
-        at = nz[lo : lo + per]
-        bits = np.unpackbits(
-            flat[at].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-        )
-        word, bit = np.nonzero(bits)
-        at = at[word]
-        src_parts.append(at // W)
-        dst_parts.append((at % W) * 64 + bit)
-    if not src_parts:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    eS = np.concatenate(src_parts)
-    eD = np.concatenate(dst_parts)
-    eDf = eS - eS % n + eD  # same element: flat row of the neighbor
-    return eS, eD, eDf
 
 
 class _EdgeMasks(NamedTuple):
@@ -687,10 +631,12 @@ class BatchCDSEngine:
             return np.bincount(group_of[np.flatnonzero(flags)], minlength=G)
 
         # reverse-edge permutation: rev[k] is the edge (u→v) for edge
-        # k = (v→u); both edge orderings sort to the same pair sequence.
+        # k = (v→u), the rank of the swapped key eDf·R + eS (keys are
+        # distinct, so any sort gives the same permutation);
         # keys[k] = eS·R + eDf ascends with the edge id
-        rev = np.lexsort((eS, eDf))
-        keys = eS * len(marked) + eDf
+        R = len(marked)
+        rev = np.argsort(eDf * R + eS)
+        keys = eS * R + eDf
         current = marked
         while active.any():
             rounds += active

@@ -17,17 +17,17 @@ mutates every update interval:
 Incremental maintenance
 -----------------------
 :meth:`apply_moves` patches the cached adjacency in place after a subset of
-hosts moved, instead of rebuilding all ``n^2`` pairwise distances.  A
-persistent :class:`~repro.geometry.spatial_index.UniformGridIndex` is kept
-aliased to the live position array; each moved host is re-bucketed, its row
-is recomputed from the 3x3 cell block around its new position, and the
-symmetric bits in affected neighbors' rows are flipped.  Rows of unmoved
-hosts can only change in bits belonging to moved hosts, so the patch is
-exact: the result is bit-identical to a full rebuild (pinned by a
-hypothesis property over random move sequences).  When most hosts moved the
-delta bookkeeping costs more than one vectorized rebuild, so above
-``_DELTA_REBUILD_FRACTION`` the method falls back to a dense rebuild and
-diffs the rows.
+hosts moved.  Rows of unmoved hosts can only change in bits belonging to
+moved hosts, so recomputing the movers' rows and flipping the symmetric
+bits is bit-identical to a full rebuild.  Up to ``_GRID_DELTA_CUTOFF``
+hosts the mover rows come from one dense ``(k, n)`` distance block and
+the flips go bit by bit (pinned by a hypothesis property); above it one
+grid edge-list pass yields every mover's row, the changed edges are the
+set bits of the old ``^`` new word rows, and each affected unmoved row
+takes its flips in one XOR (pinned at n = 513 and 4000 by
+``tests/graphs/test_adhoc_grid_patch.py``).  Above
+``_DELTA_REBUILD_FRACTION`` moved, one full rebuild is cheaper, and the
+method diffs its rows instead.
 """
 
 from __future__ import annotations
@@ -35,10 +35,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.geometry.spatial_index import UniformGridIndex
 from repro.graphs import bitset
 from repro.graphs.neighborhoods import NeighborhoodView, is_connected
-from repro.graphs.unitdisk import unit_disk_adjacency
+from repro.graphs.unitdisk import (
+    _word_rows,
+    edge_table,
+    row_ints,
+    sorted_pairs,
+    unit_disk_adjacency,
+    unit_disk_edge_lists,
+)
 
 __all__ = ["AdHocNetwork"]
 
@@ -46,8 +52,8 @@ __all__ = ["AdHocNetwork"]
 _DELTA_REBUILD_FRACTION = 0.35
 
 #: Up to this host count a mover's row comes from one dense (k, n) distance
-#: block; above it the persistent grid index bounds the work to the mover's
-#: 3x3 cell block (mirrors the builder cutoff in repro.graphs.unitdisk).
+#: block; above it one grid edge-list pass bounds the work to the movers'
+#: 3x3 cell blocks (mirrors the builder cutoff in repro.graphs.unitdisk).
 _GRID_DELTA_CUTOFF = 512
 
 
@@ -74,7 +80,6 @@ class AdHocNetwork:
         self._radius = float(radius)
         self._side = float(side)
         self._adj: list[int] | None = None
-        self._grid: UniformGridIndex | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -119,7 +124,6 @@ class AdHocNetwork:
     def invalidate(self) -> None:
         """Mark the cached adjacency stale (call after moving positions)."""
         self._adj = None
-        self._grid = None
 
     def move_host(self, v: int, xy) -> None:
         """Teleport a single host and invalidate the adjacency."""
@@ -146,21 +150,17 @@ class AdHocNetwork:
             return 0
         if moved.size > max(8, int(n * _DELTA_REBUILD_FRACTION)):
             return self._rebuild_and_diff()
+        # either way the distance arithmetic (x² + y² per pair, inclusive
+        # radius) matches the full builders exactly, so the patched rows
+        # are bit-identical to a rebuild
+        if n > _GRID_DELTA_CUTOFF:
+            return self._patch_grid(np.unique(moved))
 
         adj = self._adj
         moved_ids = [int(v) for v in moved]
         moved_mask = bitset.mask_from_ids(moved_ids)
-
-        # recompute each mover's row; either way the distance arithmetic
-        # (x² + y² per pair, inclusive radius) matches the dense builder
-        # exactly, so the patched rows are bit-identical to a full rebuild
-        if n <= _GRID_DELTA_CUTOFF:
-            new_rows = self._mover_rows_dense(moved, moved_ids)
-        else:
-            new_rows = self._mover_rows_grid(moved_ids)
-
         changed = 0
-        for v, row in new_rows:
+        for v, row in self._mover_rows_dense(moved, moved_ids):
             old = adj[v]
             if old == row:
                 continue
@@ -180,49 +180,49 @@ class AdHocNetwork:
         diff = pos[None, :, :] - pos[moved, None, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         within = d2 <= self._radius * self._radius
-        packed = np.packbits(within, axis=1, bitorder="little")
-        return [
-            (v, int.from_bytes(packed[i].tobytes(), "little") & ~(1 << v))
-            for i, v in enumerate(moved_ids)
-        ]
+        rows = row_ints(np.packbits(within, axis=1, bitorder="little"))
+        return [(v, row & ~(1 << v)) for v, row in zip(moved_ids, rows)]
 
-    def _mover_rows_grid(self, moved_ids: list[int]):
-        """Mover rows via the persistent grid index: re-bucket each mover,
-        then test only its 3x3 cell block (O(k · local density), not O(kn))."""
-        if self._grid is None:
-            self._grid = UniformGridIndex(self._pos, self._radius)
-        grid = self._grid
-        pos = self._pos
-        r2 = self._radius * self._radius
-        n = self.n
-        for v in moved_ids:
-            grid.move(v)
-        flag_buf = np.zeros(((n + 7) // 8) * 8, dtype=np.uint8)
-        new_rows: list[tuple[int, int]] = []
-        for v in moved_ids:
-            p = pos[v]
-            cand = np.asarray(grid.cell_block(p), dtype=np.intp)
-            d = pos[cand] - p
-            inside = cand[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r2]
-            flag_buf[:] = 0
-            flag_buf[inside] = 1
-            row = int.from_bytes(
-                np.packbits(flag_buf, bitorder="little").tobytes(), "little"
-            )
-            new_rows.append((v, row & ~(1 << v)))
-        return new_rows
+    def _patch_grid(self, moved: np.ndarray) -> int:
+        """Patch the rows of ``moved`` (ascending, unique) and of their old
+        and new neighbours from one grid edge-list pass; O(k · local
+        density + k · n/64), no per-bit Python loop."""
+        adj, n, k = self._adj, self.n, len(moved)
+        W = max(1, (n + 63) >> 6)
+        mS, mD = unit_disk_edge_lists(self._pos, self._radius, moved)
+        new = _word_rows(*sorted_pairs(np.searchsorted(moved, mS), mD, n), k, n)
+        old = np.frombuffer(
+            b"".join(adj[v].to_bytes(W * 8, "little") for v in moved.tolist()),
+            dtype=np.uint64,
+        ).reshape(k, W)
+        # changed edges (mover moved[vi], node u), grouped by mover
+        vi, u, _ = edge_table(old ^ new, n)
+        flag = np.zeros(n, dtype=bool)
+        flag[u] = True
+        rows = vi[np.diff(vi, prepend=-1) != 0]  # vi ascends
+        flag[moved[rows]] = True
+        for v, row in zip(moved[rows].tolist(), row_ints(new[rows])):
+            adj[v] = row
+        # an unmoved row flips exactly the bits of the movers whose edge
+        # to it changed: one XOR word row per affected row
+        mover = np.zeros(n, dtype=bool)
+        mover[moved] = True
+        out = ~mover[u]
+        fu, fv = sorted_pairs(u[out], moved[vi[out]], n)
+        head = np.diff(fu, prepend=-1) != 0
+        flips = _word_rows(np.cumsum(head) - 1, fv, int(head.sum()), n)
+        for v, flip in zip(fu[head].tolist(), row_ints(flips)):
+            adj[v] ^= flip
+        return int.from_bytes(
+            np.packbits(flag, bitorder="little").tobytes(), "little"
+        )
 
     def _rebuild_and_diff(self) -> int:
         old = self._adj
         assert old is not None
         new = unit_disk_adjacency(self._pos, self._radius)
         self._adj = new
-        self._grid = None
-        changed = 0
-        for v in range(self.n):
-            if old[v] != new[v]:
-                changed |= 1 << v
-        return changed
+        return sum(1 << v for v in range(self.n) if old[v] != new[v])
 
     # -- queries -----------------------------------------------------------
 

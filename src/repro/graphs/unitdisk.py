@@ -1,19 +1,21 @@
-"""Vectorized unit-disk-graph construction.
+"""Vectorized unit-disk-graph construction and packed word rows.
 
 The paper's topology model: hosts live in a 2-D free space and ``{u, v}``
 is an edge iff their Euclidean distance is at most the (homogeneous)
 transmission radius.  Two strategies are provided:
 
-* :func:`unit_disk_adjacency` — dense ``O(n^2)`` pairwise distances via a
-  single NumPy broadcast.  For the paper's regime (n ≤ a few hundred) this
-  is fastest by a wide margin because it stays inside one BLAS-free
-  vectorized expression.
-* :func:`unit_disk_adjacency_grid` — uniform-grid spatial hash that only
-  compares points in neighboring cells; asymptotically ``O(n)`` for bounded
-  density and preferable for thousands of hosts.
+* :func:`unit_disk_adjacency_dense` — one ``O(n^2)`` NumPy broadcast;
+  fastest by a wide margin in the paper's regime (n ≤ a few hundred).
+* :func:`unit_disk_adjacency_grid` — grid edge lists
+  (:func:`unit_disk_edge_lists`: cell = radius, 3×3 candidate cells)
+  packed into word rows (:func:`_word_rows`); ``O(n + E)`` at bounded
+  density.  ``unit_disk_adjacency`` dispatches to it above a size cutoff.
 
 Both return open-neighborhood bitmasks (see :mod:`repro.graphs.bitset`).
-``unit_disk_adjacency`` dispatches to the grid variant above a size cutoff.
+The same edge lists patch ``AdHocNetwork.apply_moves`` and build the
+sparse CSR (``repro.core.sparse.CSRBatch``).  Packed rows are
+``max(1, ceil(n / 64))`` little-endian ``uint64`` words, padding bits
+zero; :func:`edge_table` decodes them.
 """
 
 from __future__ import annotations
@@ -27,10 +29,28 @@ __all__ = [
     "unit_disk_adjacency_dense",
     "unit_disk_adjacency_grid",
     "unit_disk_edges",
+    "unit_disk_edge_lists",
+    "sorted_pairs",
+    "row_ints",
+    "edge_table",
+    "popcount_rows",
 ]
 
 #: Above this node count the grid strategy wins; below, dense broadcasting.
 _GRID_CUTOFF = 512
+
+#: candidates per :func:`unit_disk_edge_lists` chunk when the caller sets
+#: no budget: 64 Ki keeps each temporary at 512 KiB, cache-sized like the
+#: kernels' ``CACHE_BLOCK`` (a 4 Mi chunk held ~18 MB at N = 4000).
+_EDGE_LIST_WORDS = 1 << 16
+
+#: set bits per :func:`edge_table` chunk when the caller sets no budget
+#: (``repro.core.vectorized.chunk_bits`` at its 64 MB default).
+_EDGE_TABLE_BITS = 1 << 26
+
+_U64_1 = np.uint64(1)
+_U64_63 = np.uint64(63)
+_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
 def _check_positions(positions: np.ndarray) -> np.ndarray:
@@ -67,50 +87,180 @@ def unit_disk_adjacency_dense(positions: np.ndarray, radius: float) -> list[int]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     within = d2 <= radius * radius
     np.fill_diagonal(within, False)
-    return _masks_from_bool_matrix(within)
+    return row_ints(np.packbits(within, axis=1, bitorder="little"))
 
 
-def _masks_from_bool_matrix(within: np.ndarray) -> list[int]:
-    """Pack each boolean row into a Python-int bitmask.
-
-    ``np.packbits`` + ``int.from_bytes`` converts a whole row in C instead
-    of a Python-level bit loop.
-    """
-    packed = np.packbits(within, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def row_ints(rows: np.ndarray) -> list[int]:
+    """Little-endian packed rows (``uint8`` or ``uint64``) -> bitmask ints,
+    one ``int.from_bytes`` per row instead of a Python-level bit loop."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def unit_disk_adjacency_grid(positions: np.ndarray, radius: float) -> list[int]:
-    """Spatial-hash strategy: compare only points in 3x3 neighboring cells."""
+    """Spatial-hash strategy: compare only points in 3x3 neighboring cells,
+    then pack the sorted edge lists into word rows."""
     pos = _check_positions(positions)
     n = len(pos)
     if n == 0:
         return []
     if radius <= 0:
         return [0] * n
-    cell = radius
-    keys = np.floor(pos / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (cx, cy) in enumerate(map(tuple, keys)):
-        buckets.setdefault((cx, cy), []).append(i)
+    src, dst = unit_disk_edge_lists(pos, radius, np.arange(n, dtype=np.int64))
+    src, dst = sorted_pairs(src, dst, n)
+    return row_ints(_word_rows(src, dst, n, n))
 
+
+def sorted_pairs(
+    src: np.ndarray, dst: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` pairs in ascending order: one sort of the int64 keys
+    ``src·n + dst`` (``dst < n``), not a two-key ``lexsort``."""
+    keys = np.sort(src * n + dst)
+    src = keys // n
+    keys -= src * n
+    return src, keys
+
+
+def unit_disk_edge_lists(
+    pos: np.ndarray,
+    radius: float,
+    srcs: np.ndarray,
+    budget_words: int = _EDGE_LIST_WORDS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-disk ``(src, dst)`` directed edge lists for a source subset.
+
+    Candidates come from the 3×3 grid-cell block around each source (cell
+    size = radius), expanded in chunks bounded by ``budget_words``.  The
+    distance arithmetic (``Σ (Δ)²`` in float64, inclusive ``d² ≤ r²``)
+    matches :func:`unit_disk_adjacency_dense` bit for bit, so calling this
+    for *all* nodes reproduces the full graph and calling it for just the
+    movers yields rows bit-identical to a full rebuild — the property both
+    :meth:`repro.graphs.adhoc.AdHocNetwork.apply_moves` and the sparse
+    pipeline's CSR patching rest on.  Edges are returned unsorted
+    (grouped by chunk); callers sort them (:func:`sorted_pairs`).
+    """
+    empty = np.empty(0, dtype=np.int64)
+    k = len(srcs)
+    if k == 0:
+        return empty, empty
+    n = len(pos)
     r2 = radius * radius
-    adj = [0] * n
-    for (cx, cy), members in buckets.items():
-        cand: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cand.extend(buckets.get((cx + dx, cy + dy), ()))
-        cand_arr = np.array(cand, dtype=np.intp)
-        cpos = pos[cand_arr]
-        for i in members:
-            d2 = np.sum((cpos - pos[i]) ** 2, axis=1)
-            hits = cand_arr[d2 <= r2]
-            m = 0
-            for j in hits:
-                m |= 1 << int(j)
-            adj[i] = m & ~(1 << i)
-    return adj
+    keys = np.floor(pos / radius).astype(np.int64)
+    kx = keys[:, 0] - keys[:, 0].min()
+    ky = keys[:, 1] - keys[:, 1].min()
+    # +1 shift and a +3 stride make every ±1 cell offset a distinct
+    # code with no wraparound, so the 9 probes never double-count
+    stride = int(ky.max()) + 3
+    code = (kx + 1) * stride + (ky + 1)
+    order = np.argsort(code, kind="stable")
+    sorted_codes = code[order]
+    ucodes, ustarts = np.unique(sorted_codes, return_index=True)
+    ucounts = np.diff(np.append(ustarts, n))
+    starts9 = np.empty((9, k), dtype=np.int64)
+    counts9 = np.zeros((9, k), dtype=np.int64)
+    scode = code[srcs]
+    j = 0
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            target = scode + dx * stride + dy
+            ci = np.searchsorted(ucodes, target)
+            ci = np.minimum(ci, len(ucodes) - 1)
+            ok = ucodes[ci] == target
+            starts9[j] = np.where(ok, ustarts[ci], 0)
+            counts9[j] = np.where(ok, ucounts[ci], 0)
+            j += 1
+    per_node = counts9.sum(axis=0)
+    avg = max(1.0, float(per_node.mean()))
+    step = max(1, int(budget_words / avg))
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    for lo in range(0, k, step):
+        hi = min(k, lo + step)
+        cnt = counts9[:, lo:hi].ravel()
+        total = int(cnt.sum())
+        if total == 0:
+            continue
+        owner = np.repeat(np.arange(len(cnt), dtype=np.int64), cnt)
+        first = np.cumsum(cnt) - cnt
+        within = np.arange(total, dtype=np.int64) - first[owner]
+        cand = order[starts9[:, lo:hi].ravel()[owner] + within]
+        ss = np.tile(srcs[lo:hi], 9)[owner]
+        d = pos[cand] - pos[ss]
+        dsq = d * d
+        d2 = dsq[:, 0] + dsq[:, 1]
+        keep = (d2 <= r2) & (cand != ss)
+        src_parts.append(ss[keep])
+        dst_parts.append(cand[keep])
+    if not src_parts:
+        return empty, empty
+    return np.concatenate(src_parts), np.concatenate(dst_parts)
+
+
+def _word_rows(eS: np.ndarray, eD: np.ndarray, R: int, n: int) -> np.ndarray:
+    """Packed ``(R, W)`` uint64 adjacency rows of a sorted edge list.
+
+    ``eS`` holds flat source rows and ``eD`` local destinations in
+    ascending ``(source, destination)`` order, so the bits of one row word
+    are a contiguous run of edges: one ``bitwise_or.reduceat`` per run,
+    no unpacked bit matrix.  Rows without edges (and every padding bit)
+    stay zero, the tail-clean layout the packed kernels expect.
+    """
+    W = max(1, (n + 63) >> 6)
+    rows = np.zeros(R * W, dtype=np.uint64)
+    if len(eS):
+        slot = eS * W + (eD >> 6)
+        bits = _U64_1 << (eD.astype(np.uint64) & _U64_63)
+        starts = np.flatnonzero(np.diff(slot, prepend=-1))
+        rows[slot[starts]] = np.bitwise_or.reduceat(bits, starts)
+    return rows.reshape(R, W)
+
+
+def popcount_rows(rows: np.ndarray) -> np.ndarray:
+    """Per-row popcount of a ``(..., W)`` word matrix -> ``(...,)`` int64."""
+    if _HAS_BITWISE_COUNT:
+        return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
+    bits = np.unpackbits(
+        np.ascontiguousarray(rows).view(np.uint8), axis=-1, bitorder="little"
+    )
+    return bits.sum(axis=-1, dtype=np.int64)
+
+
+def edge_table(
+    rows_flat: np.ndarray, n: int, chunk: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed edge table of a flat ``(R, W)`` packed-row batch.
+
+    Returns ``(eS, eD, eDf)``: flat source row, *local* destination node
+    id, flat destination row — grouped by ascending source (and, within a
+    source, ascending destination).  Only the nonzero row words are
+    decoded: bit ``k`` of a word lands at ``cumsum(popcount) + k``, and
+    each peel of the lowest set bit ``low`` reads its index as
+    ``popcount(low - 1)``, so the work is the set bits plus one pass per
+    peel over the words that still have bits — no unpacked bit matrix.
+    The peel runs in chunks of at most ``chunk >> 6`` words (``chunk``
+    defaults to the 64 MB budget's bits).
+    """
+    if chunk is None:
+        chunk = _EDGE_TABLE_BITS
+    W = rows_flat.shape[1]
+    flat = rows_flat.reshape(-1)
+    nz = np.flatnonzero(flat)  # ascending (row, word)
+    nzw = flat[nz]
+    cnt = popcount_rows(nzw[:, None])
+    eS = np.repeat(nz // W, cnt)
+    eD = np.repeat((nz % W) * 64, cnt)
+    first = np.cumsum(cnt) - cnt  # each word's first edge slot
+    per = max(1, chunk >> 6)
+    for lo in range(0, len(nz), per):
+        words, slot = nzw[lo : lo + per], first[lo : lo + per]
+        while len(words):
+            low = words & (~words + _U64_1)
+            eD[slot] += popcount_rows((low - _U64_1)[:, None])
+            words ^= low
+            live = words != 0
+            words, slot = words[live], slot[live] + 1
+    eDf = eS - eS % n + eD  # same element: flat row of the neighbor
+    return eS, eD, eDf
 
 
 def unit_disk_edges(positions: np.ndarray, radius: float) -> list[tuple[int, int]]:
