@@ -17,7 +17,10 @@ over a seeded grid: word-boundary sizes, disconnected multi-component
 batches, a forced-CSR tier (``dense_cutoff=2``) on both of its membership
 probes (packed word rows, and sorted edge keys under a budget too small
 for the rows), a tiny memory budget, and a round-heavy Rule-2 input
-(``K_130`` minus a perfect matching).  ``--record`` builds an
+(``K_130`` minus a perfect matching); its last case, ``[100k memory]``,
+runs one density-scaled N = 100k el2 interval on the incremental sparse
+backend and fails above ``MEMORY_SMOKE_LIMIT_MB`` of process peak RSS.
+``--record`` builds an
 N = 100k (default; ``--hosts`` scales) unit-disk graph straight from
 positions, runs one full interval per scheme under ``tracemalloc``,
 and merges latency + peak memory into ``BENCH_pipeline.json`` under
@@ -285,8 +288,48 @@ def _smoke(seed: int) -> int:
             for v in range(n):
                 energy[v] -= 3.0 if (prev.gateway_mask >> v) & 1 else 1.0
         print(f"incremental == scalar over churny replay: {scheme}")
+    _smoke_memory(seed)
     print("smoke ok")
     return 0
+
+
+#: ``[100k memory]`` fails above this process peak (``ru_maxrss``).  Bitmask
+#: rows alone cost n²/8 = 1.25 GB at N = 100k; the edge-list topology and
+#: the sparse engine peak near 0.3 GB.
+MEMORY_SMOKE_LIMIT_MB = 1024.0
+
+
+def _smoke_memory(seed: int) -> None:
+    """[100k memory] one density-scaled el2 interval at N = 100k on the
+    incremental sparse backend: set-up, compute, mobility step."""
+    import resource
+
+    from repro.simulation.config import SimulationConfig
+    from repro.simulation.interval import run_interval
+    from repro.simulation.lifespan import LifespanSimulator
+
+    cfg = SimulationConfig(
+        n_hosts=BIG_HOSTS, side=scaled_side(BIG_HOSTS), scheme="el2",
+        drain_model="fixed", stability=0.9, initial_energy=12.0,
+        backend="sparse",
+    )
+    t0 = time.perf_counter()
+    sim = LifespanSimulator(cfg, rng=np.random.default_rng(seed))
+    setup_s = time.perf_counter() - t0
+    run_interval(
+        sim.network, sim.scheme, sim.accountant, sim.mobility,
+        interval_index=1, pipeline=sim.pipeline,
+    )
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(
+        f"[100k memory] set-up {setup_s:.2f} s, one interval "
+        f"{time.perf_counter() - t0 - setup_s:.2f} s, peak {peak_mb:.0f} MB "
+        f"(limit {MEMORY_SMOKE_LIMIT_MB:.0f} MB)"
+    )
+    assert not sim.network.has_adjacency_cache, "[100k memory] int rows built"
+    assert peak_mb <= MEMORY_SMOKE_LIMIT_MB, (
+        f"[100k memory] peak {peak_mb:.0f} MB > {MEMORY_SMOKE_LIMIT_MB:.0f} MB"
+    )
 
 
 def _bitmask_to_bool(mask: int, n: int) -> np.ndarray:

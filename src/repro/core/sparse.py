@@ -93,9 +93,10 @@ from repro.core.vectorized import (
 )
 from repro.errors import ConfigurationError
 from repro.graphs.unitdisk import (
+    _indptr,
     _word_rows,
-    sorted_pairs,
-    unit_disk_edge_lists,
+    topology_row_diff,
+    unit_disk_topology,
 )
 
 __all__ = [
@@ -168,9 +169,7 @@ class CSRBatch:
     def from_sorted_edges(cls, src, dst, B: int, n: int) -> "CSRBatch":
         """CSR of flat source rows ``src`` and local ``dst`` given in
         ascending ``(src, dst)`` order."""
-        indptr = np.zeros(B * n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=B * n), out=indptr[1:])
-        return cls(indptr, dst, B, n)
+        return cls(_indptr(src, B * n), dst, B, n)
 
     @classmethod
     def from_positions(
@@ -182,21 +181,14 @@ class CSRBatch:
     ) -> "CSRBatch":
         """Unit-disk CSR straight from ``(n, 2)`` positions (batch of 1).
 
-        The grid edge lists of
-        :func:`repro.graphs.unitdisk.unit_disk_edge_lists`, chunked by the
-        memory budget: the edge set of the dense builders, without ever
-        allocating an ``n``-bit row.
+        :func:`repro.graphs.unitdisk.unit_disk_topology` (the grid edge
+        lists, chunked by the memory budget): the dense strategy's edge
+        set, without ever allocating an ``n``-bit row.
         """
-        pos = np.ascontiguousarray(positions, dtype=np.float64)
-        n = len(pos)
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(np.zeros(1, dtype=np.int64), empty, 1, 0)
-        src, dst = unit_disk_edge_lists(
-            pos, radius, np.arange(n, dtype=np.int64),
-            chunk_words(memory_budget_mb),
+        indptr, dst = unit_disk_topology(
+            positions, radius, chunk_words(memory_budget_mb)
         )
-        return cls.from_sorted_edges(*sorted_pairs(src, dst, n), 1, n)
+        return cls(indptr, dst, 1, len(indptr) - 1)
 
 
 def connected_labels(indptr: np.ndarray, dst_flat: np.ndarray) -> np.ndarray:
@@ -608,8 +600,9 @@ class SparseCDSPipeline:
     Duck-type compatible with the delta/vectorized pipelines
     (``compute(graph, energy=...)`` / ``reset()``) so ``run_interval``
     swaps it in through the same socket.  Recomputes from scratch every
-    interval, except that an interval whose adjacency rows *and*
-    quantized-energy fingerprint both match the previous one
+    interval, except that an interval whose graph (adjacency rows, or
+    topology edge list) *and* quantized-energy fingerprint both match
+    the previous one
     short-circuits to the cached result (the same fingerprint pair
     :class:`repro.core.delta.DeltaCDSPipeline` checks) — quantization
     follows ``scheme.quantum``, exactly what ``PriorityScheme.key``
@@ -638,22 +631,50 @@ class SparseCDSPipeline:
             fixed_point=fixed_point,
             memory_budget_mb=memory_budget_mb,
         )
-        self._prev_adj: list[int] | None = None
-        self._prev_ekey: bytes | None = None
-        self._prev_result: CDSResult | None = None
+        self.reset()
 
     def reset(self) -> None:
         """Drop the short-circuit fingerprints (next compute runs fully)."""
-        self._prev_adj = None
-        self._prev_ekey = None
-        self._prev_result = None
+        self._prev_adj: list[int] | None = None
+        self._prev_topo: tuple[np.ndarray, np.ndarray] | None = None
+        self._prev_ekey: bytes | None = None
+        self._prev_result: CDSResult | None = None
+
+    def _unchanged(self, adj_src, topo, n: int) -> bool:
+        """Whether the input holds the previous call's graph: the same
+        topology pair (or a zero row diff against it), or equal rows."""
+        if topo is not None:
+            prev = self._prev_topo
+            return prev is topo or (
+                prev is not None
+                and len(prev[0]) == n + 1
+                and topology_row_diff(prev, topo).size == 0
+            )
+        return (
+            self._prev_adj is not None
+            and len(self._prev_adj) == n
+            and not np.not_equal(
+                np.asarray(adj_src, dtype=object),
+                np.asarray(self._prev_adj, dtype=object),
+            ).any()
+        )
 
     def compute(
         self, graph, energy: Sequence[float] | None = None
     ) -> CDSResult:
-        """The sparse equivalent of :func:`compute_cds` (one element)."""
-        adj_src = graph.adjacency if hasattr(graph, "adjacency") else graph
-        n = len(adj_src)
+        """The sparse equivalent of :func:`compute_cds` (one element).
+
+        A graph with a ``topology`` edge list (an ``AdHocNetwork``) is
+        wrapped as the CSR directly; its bitmask rows are read only for
+        ``verify`` / ``shadow_check``.
+        """
+        topo = getattr(graph, "topology", None)
+        adj_src = None
+        if topo is None:
+            adj_src = graph.adjacency if hasattr(graph, "adjacency") else graph
+            n = len(adj_src)
+        else:
+            n = len(topo[0]) - 1
         sch = self.scheme
         sch.check_energy(energy, n)
         ekey = (
@@ -661,14 +682,10 @@ class SparseCDSPipeline:
         )
         if (
             self._prev_result is not None
-            and len(self._prev_adj) == n
             and self._prev_ekey == ekey
-            and not np.not_equal(
-                np.asarray(adj_src, dtype=object),
-                np.asarray(self._prev_adj, dtype=object),
-            ).any()
+            and self._unchanged(adj_src, topo, n)
         ):
-            # unchanged rows + unchanged quantized energies: the rebuild
+            # unchanged graph + unchanged quantized energies: the rebuild
             # would reproduce the previous interval bit for bit, and the
             # defensive row copy below is skipped along with it
             if obs.enabled():
@@ -676,11 +693,14 @@ class SparseCDSPipeline:
                 obs.count("cds.computed")
                 obs.add("cds.size", self._prev_result.size)
             return self._prev_result
-        adj = list(adj_src)
+        adj = None if topo is not None else list(adj_src)
         with obs.span("cds"):
-            csr = CSRBatch.from_adjacency(
-                [adj], memory_budget_mb=self.engine.memory_budget_mb
-            )
+            if topo is not None:
+                csr = CSRBatch(*topo, 1, n)
+            else:
+                csr = CSRBatch.from_adjacency(
+                    [adj], memory_budget_mb=self.engine.memory_budget_mb
+                )
             energy_arr = None
             if energy is not None:
                 energy_arr = np.asarray(energy, dtype=np.float64)[None, :]
@@ -689,6 +709,8 @@ class SparseCDSPipeline:
             result = CDSResult(
                 scheme=sch.name, gateway_mask=mask, n=n, stats=stats[0]
             )
+            if adj is None and (self.verify or self.shadow_check):
+                adj = list(graph.adjacency)
             if self.verify and (mask or not marking_trivially_empty(adj)):
                 with obs.span("verify"):
                     verify_cds(
@@ -702,7 +724,8 @@ class SparseCDSPipeline:
             if obs.enabled():
                 obs.count("cds.computed")
                 obs.add("cds.size", result.size)
-        self._prev_adj = adj
+        self._prev_adj = None if topo is not None else adj
+        self._prev_topo = topo
         self._prev_ekey = ekey
         self._prev_result = result
         return result

@@ -6,22 +6,21 @@ the full N=100k cost even when a handful of hosts moved (ROADMAP item 1).
 This module keeps the :class:`~repro.core.sparse.CSRBatch` alive across
 intervals and recomputes only what a change can reach:
 
-1. **CSR patching.**  For geometric inputs (anything with ``positions``
-   and ``radius``, i.e. :class:`~repro.graphs.adhoc.AdHocNetwork`), the
-   pipeline diffs cached positions to find movers and rebuilds *only
-   their* rows via the grid spatial hash
-   (:func:`repro.graphs.unitdisk.unit_disk_edge_lists` — the same
-   bit-identical distance math the full builder uses, so the patched CSR
-   equals a from-scratch build array for array).  Old edges with neither
-   endpoint moved are kept; reverse edges into unmoved neighbors are
-   regenerated from the mover rows.  The changed-row set is then *exact*:
-   the endpoints of the symmetric difference between the old and new
-   mover-incident edge keys — a mover that kept all its neighbors dirties
-   nothing, the row-diff contract :meth:`AdHocNetwork.apply_moves`
-   established for the packed-word path.  For raw adjacency inputs the
-   rows are diffed directly (:func:`repro.core.delta.changed_row_flags`,
-   the delta pipeline's primitive) and the CSR is rebuilt, but component
-   reuse below still applies.
+1. **Changed rows.**  For inputs that keep a topology (anything with a
+   ``topology`` ``(indptr, dst)`` edge list, i.e.
+   :class:`~repro.graphs.adhoc.AdHocNetwork`), the CSR *is* that edge
+   list: the pipeline wraps the two arrays without copying, keeps the
+   pair it last read, and diffs it against the next one
+   (:func:`repro.graphs.unitdisk.topology_row_diff`, ``O(E)``).  The
+   network patches its edge list after moves
+   (:meth:`AdHocNetwork.apply_moves`) and replaces, never edits, the
+   arrays, so the kept pair stays valid, an unchanged network hands back
+   the same pair (no diff at all), and the changed-row set is *exact* —
+   a mover that kept all its neighbours dirties nothing.  For raw
+   adjacency inputs the rows are diffed directly
+   (:func:`repro.core.delta.changed_row_flags`, the delta pipeline's
+   primitive) and the CSR is rebuilt, but component reuse below still
+   applies.
 
 2. **Dirty components.**  A changed row can only affect its own (old)
    connected component: every added or removed edge has both endpoints in
@@ -56,7 +55,7 @@ bit-identical to the stateless sparse pipeline (and hence to
 over random move/churn sequences in
 ``tests/property/test_sparse_delta_properties.py``.
 
-A topology whose host count (or radius, or input kind) changes triggers
+A topology whose host count (or input kind) changes triggers
 a cold restart — join/leave churn *within* a fixed id space is the
 supported fast path, matching how the simulator models churn (hosts
 moving out of range, energy death) and how the service maps tenants to
@@ -77,8 +76,8 @@ from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.core.sparse import CSRBatch, SparseCDSEngine
-from repro.core.vectorized import chunk_words, flags_to_masks
-from repro.graphs.unitdisk import sorted_pairs, unit_disk_edge_lists
+from repro.core.vectorized import flags_to_masks
+from repro.graphs.unitdisk import topology_row_diff
 
 __all__ = ["IncrementalSparseCDSPipeline", "sub_csr"]
 
@@ -145,7 +144,6 @@ class IncrementalSparseCDSPipeline:
             fixed_point=fixed_point,
             memory_budget_mb=memory_budget_mb,
         )
-        self._budget_words = chunk_words(self.engine.memory_budget_mb)
         self.reset()
 
     def reset(self) -> None:
@@ -153,8 +151,7 @@ class IncrementalSparseCDSPipeline:
         self._mode: str | None = None
         self._n = -1
         self._csr: CSRBatch | None = None
-        self._pos: np.ndarray | None = None
-        self._radius = 0.0
+        self._topo: tuple[np.ndarray, np.ndarray] | None = None
         self._rows: list[int] | None = None
         self._label: np.ndarray | None = None
         self._flags: np.ndarray | None = None
@@ -250,57 +247,17 @@ class IncrementalSparseCDSPipeline:
             dirty.append(clean[check[np.unique(owner[moved])]])
         return np.concatenate(dirty)
 
-    # -- CSR maintenance ----------------------------------------------------
-
-    def _patch_csr_geo(
-        self, pos: np.ndarray, moved: np.ndarray
-    ) -> tuple[CSRBatch, np.ndarray]:
-        """Patch the cached CSR for moved rows; return it + changed nodes.
-
-        Only mover-incident edges can differ, so the new edge list is
-        [old edges with neither endpoint moved] + [fresh mover rows from
-        the grid hash] + [their reverses into unmoved nodes].  The
-        changed-node set is the endpoints of the old/new mover-incident
-        edge-key symmetric difference — exact, not an over-approximation.
-        """
-        csr = self._csr
-        n = csr.n
-        indptr, dst = csr.indptr, csr.dst
-        oS = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        mflag = np.zeros(n, dtype=bool)
-        mflag[moved] = True
-        minc = mflag[oS] | mflag[dst]
-        keep = ~minc
-        mS, mD = unit_disk_edge_lists(
-            pos, self._radius, moved, self._budget_words
-        )
-        revk = ~mflag[mD]
-        new_src = np.concatenate([oS[keep], mS, mD[revk]])
-        new_dst = np.concatenate([dst[keep], mD, mS[revk]])
-        new_csr = CSRBatch.from_sorted_edges(
-            *sorted_pairs(new_src, new_dst, n), 1, n
-        )
-        old_keys = oS[minc] * n + dst[minc]
-        new_keys = np.concatenate(
-            [mS * n + mD, mD[revk] * n + mS[revk]]
-        )
-        delta = np.setxor1d(old_keys, new_keys)
-        changed = np.unique(np.concatenate([delta // n, delta % n]))
-        return new_csr, changed
-
     # -- driver --------------------------------------------------------------
 
     def compute(
         self, graph, energy: Sequence[float] | None = None
     ) -> CDSResult:
         """The incremental equivalent of the stateless sparse compute."""
-        geo = hasattr(graph, "positions") and hasattr(graph, "radius")
-        if geo:
-            pos = np.asarray(graph.positions, dtype=np.float64)
-            n = len(pos)
+        topo = getattr(graph, "topology", None)
+        if topo is not None:
+            n = len(topo[0]) - 1
             rows_src = None
         else:
-            pos = None
             rows_src = (
                 graph.adjacency if hasattr(graph, "adjacency") else graph
             )
@@ -321,34 +278,28 @@ class IncrementalSparseCDSPipeline:
                 stats=PruneStats(0, 0, 0, rounds),
             )
 
-        mode = "geo" if geo else "adj"
+        mode = "adj" if topo is None else "topo"
         with obs.span("cds"):
             cold = (
                 self._prev_result is None
                 or self._mode != mode
                 or self._n != n
-                or (geo and self._radius != float(graph.radius))
             )
             if obs.enabled():
                 obs.count("sdelta.intervals")
             if cold:
-                result = self._cold_start(graph, mode, pos, rows_src,
+                result = self._cold_start(graph, mode, topo, rows_src,
                                           energy_arr, n)
             else:
-                result = self._warm_step(graph, pos, rows_src, energy_arr)
+                result = self._warm_step(graph, topo, rows_src, energy_arr)
         return result
 
     def _cold_start(
-        self, graph, mode, pos, rows_src, energy_arr, n
+        self, graph, mode, topo, rows_src, energy_arr, n
     ) -> CDSResult:
-        if mode == "geo":
-            self._radius = float(graph.radius)
-            csr = CSRBatch.from_positions(
-                pos,
-                self._radius,
-                memory_budget_mb=self.engine.memory_budget_mb,
-            )
-            self._pos = pos.copy()
+        if mode == "topo":
+            csr = CSRBatch(*topo, 1, n)
+            self._topo = topo
             self._rows = None
         else:
             rows = list(rows_src)
@@ -356,7 +307,7 @@ class IncrementalSparseCDSPipeline:
                 [rows], memory_budget_mb=self.engine.memory_budget_mb
             )
             self._rows = rows
-            self._pos = None
+            self._topo = None
         self._mode = mode
         self._n = n
         self._csr = csr
@@ -376,15 +327,14 @@ class IncrementalSparseCDSPipeline:
             obs.count("sdelta.cold_starts")
         return self._finish(graph, energy_arr)
 
-    def _warm_step(self, graph, pos, rows_src, energy_arr) -> CDSResult:
+    def _warm_step(self, graph, topo, rows_src, energy_arr) -> CDSResult:
         n = self._n
-        if self._mode == "geo":
-            moved = np.flatnonzero(np.any(pos != self._pos, axis=1))
-            if moved.size:
-                self._csr, changed = self._patch_csr_geo(pos, moved)
-                self._pos[moved] = pos[moved]
-            else:
-                changed = _EMPTY
+        if self._mode == "topo":
+            changed = _EMPTY
+            if topo is not self._topo:
+                changed = topology_row_diff(self._topo, topo)
+                self._topo = topo
+                self._csr = CSRBatch(*topo, 1, n)
         else:
             neq = changed_row_flags(rows_src, self._rows)
             changed = np.flatnonzero(neq).astype(np.int64)

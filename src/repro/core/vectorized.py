@@ -97,7 +97,14 @@ from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.errors import ConfigurationError
-from repro.graphs.unitdisk import _U64_1, _U64_63, edge_table, popcount_rows
+from repro.graphs.unitdisk import (
+    _U64_1,
+    _U64_63,
+    _sources,
+    _word_rows,
+    edge_table,
+    popcount_rows,
+)
 
 __all__ = [
     "words_for",
@@ -685,53 +692,58 @@ class BatchCDSEngine:
             rows_flat = packed.reshape(B * n, W)
             with obs.span("edge_table"):
                 eS, eD, eDf = edge_table(rows_flat, n, self._chunk_bits)
-            deg_flat = np.bincount(eS, minlength=B * n)
-            eoff = np.cumsum(deg_flat) - deg_flat  # CSR starts into eD
-            with obs.span("edge_miss"):
-                miss = self._edge_miss(
-                    _word_probe(rows_flat), eD, eoff, deg_flat, eS, eDf
-                )
+            return self._run_edges(rows_flat, eS, eD, eDf, energy, B, n)
 
-            # marked iff some neighbor certifies: N(v) ⊄ N[u] ⟺ |miss| ≥ 2
-            marked0 = _scatter_any(eS[miss.cnt >= 2], B * n)
-            initial_b = marked0.reshape(B, n).sum(axis=1)
-
-            if obs.enabled():
-                obs.count("vcds.batches")
-                obs.add("vcds.elements", B)
-                obs.add("vcds.nodes", B * n)
-                obs.add("vcds.edges", len(eS))
-                obs.add("vcds.marked", int(marked0.sum()))
-
-            if not uses_rules:
-                stats = [
-                    PruneStats(int(initial_b[b]), 0, 0, 0) for b in range(B)
-                ]
-                return marked0.reshape(B, n), stats
-
-            energy_arr = None
-            if energy is not None:
-                energy_arr = np.asarray(energy, dtype=np.float64).reshape(B, n)
-            rank = self._ranks(deg_flat, energy_arr, B, n)
-            current, rounds_b, removed1_b, removed2_b = self._prune(
-                miss, eS, eDf, marked0, rank,
-                np.repeat(np.arange(B, dtype=np.int64), n),
-                np.ones(B, dtype=bool),
+    def _run_edges(self, rows_flat, eS, eD, eDf, energy, B, n):
+        """:meth:`run` after its edge table: the kernels on the sorted
+        directed edges (flat source ``eS``, local destination ``eD``, flat
+        destination ``eDf``) of the packed rows ``rows_flat``, which
+        serve as the membership probe."""
+        deg_flat = np.bincount(eS, minlength=B * n)
+        eoff = np.cumsum(deg_flat) - deg_flat  # CSR starts into eD
+        with obs.span("edge_miss"):
+            miss = self._edge_miss(
+                _word_probe(rows_flat), eD, eoff, deg_flat, eS, eDf
             )
 
-            stats = [
-                PruneStats(
-                    int(initial_b[b]),
-                    int(removed1_b[b]),
-                    int(removed2_b[b]),
-                    int(rounds_b[b]),
-                )
-                for b in range(B)
-            ]
-            if obs.enabled():
-                obs.add("vcds.final", int(current.sum()))
-                obs.add("vcds.rounds", int(rounds_b.sum()))
-            return current.reshape(B, n), stats
+        # marked iff some neighbor certifies: N(v) ⊄ N[u] ⟺ |miss| ≥ 2
+        marked0 = _scatter_any(eS[miss.cnt >= 2], B * n)
+        initial_b = marked0.reshape(B, n).sum(axis=1)
+
+        if obs.enabled():
+            obs.count("vcds.batches")
+            obs.add("vcds.elements", B)
+            obs.add("vcds.nodes", B * n)
+            obs.add("vcds.edges", len(eS))
+            obs.add("vcds.marked", int(marked0.sum()))
+
+        if not self.scheme.uses_rules:
+            stats = [PruneStats(int(initial_b[b]), 0, 0, 0) for b in range(B)]
+            return marked0.reshape(B, n), stats
+
+        energy_arr = None
+        if energy is not None:
+            energy_arr = np.asarray(energy, dtype=np.float64).reshape(B, n)
+        rank = self._ranks(deg_flat, energy_arr, B, n)
+        current, rounds_b, removed1_b, removed2_b = self._prune(
+            miss, eS, eDf, marked0, rank,
+            np.repeat(np.arange(B, dtype=np.int64), n),
+            np.ones(B, dtype=bool),
+        )
+
+        stats = [
+            PruneStats(
+                int(initial_b[b]),
+                int(removed1_b[b]),
+                int(removed2_b[b]),
+                int(rounds_b[b]),
+            )
+            for b in range(B)
+        ]
+        if obs.enabled():
+            obs.add("vcds.final", int(current.sum()))
+            obs.add("vcds.rounds", int(rounds_b.sum()))
+        return current.reshape(B, n), stats
 
 
 def _batch_inputs(adjacencies, scheme, energies):
@@ -866,9 +878,15 @@ class VectorizedCDSPipeline:
     (``compute(graph, energy=...)`` / ``reset()``), so
     :func:`repro.simulation.interval.run_interval` can swap it in via the
     same ``pipeline=`` socket.  Stateless across intervals: every call
-    packs the current adjacency and runs the full batch engine — the win
-    is kernel width, not incrementality, which is the right trade at
-    n ≳ 1000 where the scalar passes dominate.
+    runs the full batch engine — the win is kernel width, not
+    incrementality, which is the right trade at n ≳ 1000 where the
+    scalar passes dominate.  A graph that keeps a sorted edge list
+    (``keeps_edge_list``: an :class:`repro.graphs.adhoc.AdHocNetwork`
+    above its dense cutoff) feeds the kernels its ``topology`` directly,
+    with probe rows packed from it
+    (:func:`repro.graphs.unitdisk._word_rows`), so no Python-int row is
+    read unless ``verify`` or ``shadow_check`` asks for one; any other
+    graph's bitmask rows are packed and decoded by :meth:`BatchCDSEngine.run`.
     """
 
     def __init__(
@@ -897,21 +915,38 @@ class VectorizedCDSPipeline:
 
     def compute(self, graph, energy: Sequence[float] | None = None) -> CDSResult:
         """The vectorized equivalent of :func:`compute_cds` (one element)."""
-        adj = graph.adjacency if hasattr(graph, "adjacency") else graph
-        adj = list(adj)
-        n = len(adj)
+        topo = None
+        if getattr(graph, "keeps_edge_list", False):
+            topo = graph.topology
+            n = len(topo[0]) - 1
+        else:
+            adj = graph.adjacency if hasattr(graph, "adjacency") else graph
+            adj = list(adj)
+            n = len(adj)
         sch = self.scheme
         sch.check_energy(energy, n)
         with obs.span("cds"):
-            packed = pack_adjacency(adj)[None, :, :]
             energy_arr = None
             if energy is not None:
                 energy_arr = np.asarray(energy, dtype=np.float64)[None, :]
-            flags, stats = self.engine.run(packed, energy_arr)
+            if topo is None:
+                packed = pack_adjacency(adj)[None, :, :]
+                flags, stats = self.engine.run(packed, energy_arr)
+            else:
+                with obs.span("cds_batch"):
+                    with obs.span("edge_table"):
+                        indptr, dst = topo
+                        eS = _sources(indptr)
+                        rows = _word_rows(eS, dst, n, n)
+                    flags, stats = self.engine._run_edges(
+                        rows, eS, dst, dst, energy_arr, 1, n
+                    )
             mask = flags_to_masks(flags)[0]
             result = CDSResult(
                 scheme=sch.name, gateway_mask=mask, n=n, stats=stats[0]
             )
+            if self.verify or self.shadow_check:
+                adj = list(graph.adjacency) if topo is not None else adj
             if self.verify and (mask or not marking_trivially_empty(adj)):
                 with obs.span("verify"):
                     verify_cds(adj, mask, context=f"vectorized scheme={sch.name}")

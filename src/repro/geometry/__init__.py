@@ -2,8 +2,10 @@
 
 * :mod:`repro.geometry.space` — bounded region with clamp/reflect/torus
   boundary policies,
-* :mod:`repro.geometry.points` — vectorized placement and displacement,
-* :mod:`repro.geometry.spatial_index` — uniform-grid neighbor queries.
+* :mod:`repro.geometry.points` — vectorized placement and displacement.
+
+Unit-disk neighbour search lives in :mod:`repro.graphs.unitdisk`
+(:func:`~repro.graphs.unitdisk.unit_disk_edge_lists`).
 """
 
 from repro.geometry.space import BoundaryPolicy, Region2D
@@ -12,7 +14,6 @@ from repro.geometry.points import (
     displace,
     random_points,
 )
-from repro.geometry.spatial_index import UniformGridIndex
 
 __all__ = [
     "BoundaryPolicy",
@@ -20,5 +21,4 @@ __all__ = [
     "compass_unit_vectors",
     "displace",
     "random_points",
-    "UniformGridIndex",
 ]

@@ -1,59 +1,65 @@
 """The mutable ad hoc wireless network container.
 
 ``AdHocNetwork`` owns host positions, the (homogeneous) transmission radius,
-and a lazily rebuilt unit-disk adjacency.  It is the object the simulator
+and a lazily built unit-disk topology.  It is the object the simulator
 mutates every update interval:
 
 * the mobility model moves ``positions`` in place and calls
   :meth:`AdHocNetwork.apply_moves` (incremental) or
   :meth:`AdHocNetwork.invalidate` (full rebuild),
-* the CDS pipeline takes an immutable :meth:`snapshot`
-  (:class:`~repro.graphs.neighborhoods.NeighborhoodView`) so algorithms see
-  a fixed topology within the interval,
+* the CDS pipelines read either the sorted edge list
+  (:attr:`AdHocNetwork.topology`; the vectorized and sparse kernels) or
+  an immutable bitmask :meth:`snapshot`
+  (:class:`~repro.graphs.neighborhoods.NeighborhoodView`; the scalar
+  and delta engines), so algorithms see a fixed topology within the
+  interval,
 * topology-delta queries (:meth:`changed_nodes_since`) feed the *localized
   update* machinery of :mod:`repro.protocol.locality` (Wu-Li showed only
   neighbors of changed hosts must refresh their status).
 
-Incremental maintenance
------------------------
-:meth:`apply_moves` patches the cached adjacency in place after a subset of
-hosts moved.  Rows of unmoved hosts can only change in bits belonging to
-moved hosts, so recomputing the movers' rows and flipping the symmetric
-bits is bit-identical to a full rebuild.  Up to ``_GRID_DELTA_CUTOFF``
-hosts the mover rows come from one dense ``(k, n)`` distance block and
-the flips go bit by bit (pinned by a hypothesis property); above it one
-grid edge-list pass yields every mover's row, the changed edges are the
-set bits of the old ``^`` new word rows, and each affected unmoved row
-takes its flips in one XOR (pinned at n = 513 and 4000 by
-``tests/graphs/test_adhoc_grid_patch.py``).  Above
-``_DELTA_REBUILD_FRACTION`` moved, one full rebuild is cheaper, and the
-method diffs its rows instead.
+Two representations
+-------------------
+Up to ``_GRID_DELTA_CUTOFF`` hosts (the paper's N = 100 cells) the kept
+state is the Python-int bitmask rows: :meth:`apply_moves` rebuilds the
+movers' rows from one dense ``(k, n)`` distance block and flips the
+symmetric bits of their unmoved neighbours (or, above
+``_DELTA_REBUILD_FRACTION`` moved, rebuilds and diffs), bit-identical to
+a full rebuild.  Above the cutoff it is the sorted edge list
+``(indptr, dst)``, ``O(E)`` where the rows cost ``n²/8`` bytes:
+:meth:`apply_moves` merges the movers' fresh edges into it
+(:func:`repro.graphs.unitdisk.patch_topology`), :meth:`is_connected`
+walks it, and :attr:`adjacency` derives the int rows only when read,
+counting each build in the obs counter ``graphs.int_rows_built``.  A
+changed edge list is a new pair of arrays, never an in-place edit, so a
+consumer may keep the pair it last read and diff it against the next.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.errors import TopologyError
 from repro.graphs import bitset
 from repro.graphs.neighborhoods import NeighborhoodView, is_connected
 from repro.graphs.unitdisk import (
-    _word_rows,
-    edge_table,
+    patch_topology,
     row_ints,
-    sorted_pairs,
+    topology_is_connected,
+    topology_rows,
     unit_disk_adjacency,
-    unit_disk_edge_lists,
+    unit_disk_topology,
 )
 
 __all__ = ["AdHocNetwork"]
 
-#: Above this moved fraction a vectorized full rebuild beats row patching.
+#: Above this moved fraction a vectorized full rebuild beats row patching
+#: (bitmask rows only; the edge-list patch is O(E) whatever moved).
 _DELTA_REBUILD_FRACTION = 0.35
 
-#: Up to this host count a mover's row comes from one dense (k, n) distance
-#: block; above it one grid edge-list pass bounds the work to the movers'
-#: 3x3 cell blocks (mirrors the builder cutoff in repro.graphs.unitdisk).
+#: Up to this host count the network keeps bitmask rows and patches them
+#: from one dense (k, n) distance block; above it, the sorted edge list
+#: (mirrors ``_GRID_CUTOFF`` in repro.graphs.unitdisk).
 _GRID_DELTA_CUTOFF = 512
 
 
@@ -80,6 +86,7 @@ class AdHocNetwork:
         self._radius = float(radius)
         self._side = float(side)
         self._adj: list[int] | None = None
+        self._topo: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -102,28 +109,51 @@ class AdHocNetwork:
         return self._side
 
     @property
+    def keeps_edge_list(self) -> bool:
+        """Whether the kept state is the edge list :attr:`topology` (above
+        the cutoff) rather than the bitmask rows :attr:`adjacency`."""
+        return self.n > _GRID_DELTA_CUTOFF
+
+    @property
     def adjacency(self) -> list[int]:
-        """Open-neighborhood bitmasks, rebuilt lazily after invalidation."""
+        """Open-neighborhood bitmasks, rebuilt lazily after invalidation
+        (above the cutoff: derived from :attr:`topology` when read)."""
         if self._adj is None:
-            self._adj = unit_disk_adjacency(self._pos, self._radius)
+            if self.keeps_edge_list:
+                self._adj = topology_rows(*self.topology)
+                obs.count("graphs.int_rows_built")
+            else:
+                self._adj = unit_disk_adjacency(self._pos, self._radius)
         return self._adj
+
+    @property
+    def topology(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted directed edge list ``(indptr, dst)``.
+
+        ``dst[indptr[v]:indptr[v + 1]]`` is ``N(v)`` ascending.  Read
+        only: a change replaces the pair, so the same object comes back
+        until the topology changes.
+        """
+        if self._topo is None:
+            self._topo = unit_disk_topology(self._pos, self._radius)
+        return self._topo
 
     @property
     def has_adjacency_cache(self) -> bool:
         """Whether the Python bitmask adjacency is currently materialized.
 
-        Position-native consumers (the sparse pipelines) never touch
-        :attr:`adjacency`; callers that would only *warm* the cache on
-        their behalf (e.g. mobility patching) can check this and skip the
-        O(n^2/word) Python build entirely at 100k nodes.
+        Above the cutoff only :attr:`adjacency` (and the queries and
+        snapshots built on it) materialize it; the mobility manager and
+        the vectorized and sparse pipelines work on :attr:`topology`.
         """
         return self._adj is not None
 
     # -- mutation ----------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Mark the cached adjacency stale (call after moving positions)."""
+        """Mark the cached topology stale (call after moving positions)."""
         self._adj = None
+        self._topo = None
 
     def move_host(self, v: int, xy) -> None:
         """Teleport a single host and invalidate the adjacency."""
@@ -131,31 +161,41 @@ class AdHocNetwork:
         self.invalidate()
 
     def apply_moves(self, moved) -> int:
-        """Patch the cached adjacency after ``moved`` hosts changed position.
+        """Patch the kept topology after ``moved`` hosts changed position.
 
         ``moved`` is an index array (or boolean mask) of hosts whose rows in
         :attr:`positions` were already updated in place.  Returns the bitmask
-        of nodes whose neighbor row changed.  If no adjacency was cached yet
-        the full matrix is built and every node is reported changed.
+        of nodes whose neighbor row changed.  If nothing was built yet,
+        nothing is built now (the next read builds from the positions) and
+        every node is reported changed.
         """
         moved = np.asarray(moved)
         if moved.dtype == bool:
             moved = np.flatnonzero(moved)
         moved = np.atleast_1d(moved.astype(np.intp))
         n = self.n
-        if self._adj is None:
-            self._adj = unit_disk_adjacency(self._pos, self._radius)
-            return (1 << n) - 1 if n else 0
-        if moved.size == 0 or self._radius <= 0:
+        if moved.size == 0:
             return 0
+        if (self._topo if self.keeps_edge_list else self._adj) is None:
+            self.invalidate()
+            return (1 << n) - 1
+        # the distance arithmetic (x² + y² per pair, inclusive radius)
+        # matches a full rebuild exactly, so the patched state is
+        # bit-identical to one
+        if self.keeps_edge_list:
+            self._topo, rows = patch_topology(
+                *self._topo, self._pos, self._radius, np.unique(moved)
+            )
+            if rows.size:
+                self._adj = None
+            flag = np.zeros(n, dtype=bool)
+            flag[rows] = True
+            return int.from_bytes(
+                np.packbits(flag, bitorder="little").tobytes(), "little"
+            )
+        self._topo = None  # derived from the rows: rebuilt when read
         if moved.size > max(8, int(n * _DELTA_REBUILD_FRACTION)):
             return self._rebuild_and_diff()
-        # either way the distance arithmetic (x² + y² per pair, inclusive
-        # radius) matches the full builders exactly, so the patched rows
-        # are bit-identical to a rebuild
-        if n > _GRID_DELTA_CUTOFF:
-            return self._patch_grid(np.unique(moved))
-
         adj = self._adj
         moved_ids = [int(v) for v in moved]
         moved_mask = bitset.mask_from_ids(moved_ids)
@@ -183,40 +223,6 @@ class AdHocNetwork:
         rows = row_ints(np.packbits(within, axis=1, bitorder="little"))
         return [(v, row & ~(1 << v)) for v, row in zip(moved_ids, rows)]
 
-    def _patch_grid(self, moved: np.ndarray) -> int:
-        """Patch the rows of ``moved`` (ascending, unique) and of their old
-        and new neighbours from one grid edge-list pass; O(k · local
-        density + k · n/64), no per-bit Python loop."""
-        adj, n, k = self._adj, self.n, len(moved)
-        W = max(1, (n + 63) >> 6)
-        mS, mD = unit_disk_edge_lists(self._pos, self._radius, moved)
-        new = _word_rows(*sorted_pairs(np.searchsorted(moved, mS), mD, n), k, n)
-        old = np.frombuffer(
-            b"".join(adj[v].to_bytes(W * 8, "little") for v in moved.tolist()),
-            dtype=np.uint64,
-        ).reshape(k, W)
-        # changed edges (mover moved[vi], node u), grouped by mover
-        vi, u, _ = edge_table(old ^ new, n)
-        flag = np.zeros(n, dtype=bool)
-        flag[u] = True
-        rows = vi[np.diff(vi, prepend=-1) != 0]  # vi ascends
-        flag[moved[rows]] = True
-        for v, row in zip(moved[rows].tolist(), row_ints(new[rows])):
-            adj[v] = row
-        # an unmoved row flips exactly the bits of the movers whose edge
-        # to it changed: one XOR word row per affected row
-        mover = np.zeros(n, dtype=bool)
-        mover[moved] = True
-        out = ~mover[u]
-        fu, fv = sorted_pairs(u[out], moved[vi[out]], n)
-        head = np.diff(fu, prepend=-1) != 0
-        flips = _word_rows(np.cumsum(head) - 1, fv, int(head.sum()), n)
-        for v, flip in zip(fu[head].tolist(), row_ints(flips)):
-            adj[v] ^= flip
-        return int.from_bytes(
-            np.packbits(flag, bitorder="little").tobytes(), "little"
-        )
-
     def _rebuild_and_diff(self) -> int:
         old = self._adj
         assert old is not None
@@ -237,6 +243,8 @@ class AdHocNetwork:
         return bool(self.adjacency[u] >> v & 1)
 
     def is_connected(self) -> bool:
+        if self.keeps_edge_list:
+            return topology_is_connected(*self.topology)
         return is_connected(self.adjacency)
 
     def snapshot(self) -> NeighborhoodView:
@@ -256,7 +264,7 @@ class AdHocNetwork:
         return [v for v in range(self.n) if adj[v] != previous.adjacency[v]]
 
     def copy(self) -> "AdHocNetwork":
-        """Deep copy (positions duplicated; adjacency cache dropped)."""
+        """Deep copy (positions duplicated; cached topology dropped)."""
         return AdHocNetwork(self._pos, self._radius, side=self._side)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -1,8 +1,8 @@
-"""Vectorized unit-disk-graph construction and packed word rows.
+"""Vectorized unit-disk-graph construction, topologies and packed rows.
 
 The paper's topology model: hosts live in a 2-D free space and ``{u, v}``
 is an edge iff their Euclidean distance is at most the (homogeneous)
-transmission radius.  Two strategies are provided:
+transmission radius.  Two strategies build the bitmask rows:
 
 * :func:`unit_disk_adjacency_dense` — one ``O(n^2)`` NumPy broadcast;
   fastest by a wide margin in the paper's regime (n ≤ a few hundred).
@@ -12,10 +12,18 @@ transmission radius.  Two strategies are provided:
   density.  ``unit_disk_adjacency`` dispatches to it above a size cutoff.
 
 Both return open-neighborhood bitmasks (see :mod:`repro.graphs.bitset`).
-The same edge lists patch ``AdHocNetwork.apply_moves`` and build the
-sparse CSR (``repro.core.sparse.CSRBatch``).  Packed rows are
-``max(1, ceil(n / 64))`` little-endian ``uint64`` words, padding bits
-zero; :func:`edge_table` decodes them.
+
+A *topology* is the sorted directed edge list ``(indptr, dst)``: row
+``v``'s neighbours are ``dst[indptr[v]:indptr[v + 1]]``, ascending —
+``O(E)`` memory where bitmask rows cost ``n²/8`` bytes.
+:func:`unit_disk_topology` builds it, :func:`patch_topology` updates it
+after moves, :func:`topology_is_connected` and
+:func:`topology_row_diff` query it, and :func:`topology_rows` turns it
+into bitmask rows.  ``AdHocNetwork`` keeps its state in this form above
+the size cutoff, and the sparse CSR (``repro.core.sparse.CSRBatch``)
+wraps the same two arrays.  Packed rows are ``max(1, ceil(n / 64))``
+little-endian ``uint64`` words, padding bits zero; :func:`edge_table`
+decodes them.
 """
 
 from __future__ import annotations
@@ -31,6 +39,11 @@ __all__ = [
     "unit_disk_edges",
     "unit_disk_edge_lists",
     "sorted_pairs",
+    "unit_disk_topology",
+    "patch_topology",
+    "topology_is_connected",
+    "topology_row_diff",
+    "topology_rows",
     "row_ints",
     "edge_table",
     "popcount_rows",
@@ -99,15 +112,124 @@ def row_ints(rows: np.ndarray) -> list[int]:
 def unit_disk_adjacency_grid(positions: np.ndarray, radius: float) -> list[int]:
     """Spatial-hash strategy: compare only points in 3x3 neighboring cells,
     then pack the sorted edge lists into word rows."""
+    return topology_rows(*unit_disk_topology(positions, radius))
+
+
+def unit_disk_topology(
+    positions: np.ndarray,
+    radius: float,
+    budget_words: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-disk graph as a sorted directed edge list ``(indptr, dst)``.
+
+    ``dst[indptr[v]:indptr[v + 1]]`` lists ``N(v)`` ascending: the grid
+    edge lists of every host, one sort of their keys.  ``budget_words``
+    bounds the candidate chunks (:func:`unit_disk_edge_lists`).
+    """
     pos = _check_positions(positions)
     n = len(pos)
-    if n == 0:
-        return []
-    if radius <= 0:
-        return [0] * n
-    src, dst = unit_disk_edge_lists(pos, radius, np.arange(n, dtype=np.int64))
+    src, dst = unit_disk_edge_lists(
+        pos, radius, np.arange(n, dtype=np.int64),
+        budget_words or _EDGE_LIST_WORDS,
+    )
     src, dst = sorted_pairs(src, dst, n)
-    return row_ints(_word_rows(src, dst, n, n))
+    return _indptr(src, n), dst
+
+
+def _indptr(src: np.ndarray, n: int) -> np.ndarray:
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _sources(indptr: np.ndarray) -> np.ndarray:
+    """The source row of every edge of a topology."""
+    n = len(indptr) - 1
+    return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+
+
+def patch_topology(
+    indptr: np.ndarray,
+    dst: np.ndarray,
+    positions: np.ndarray,
+    radius: float,
+    moved: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The topology after hosts ``moved`` (ascending, unique) changed
+    position, and the rows whose neighbour set changed.
+
+    Only edges with a moved end can change.  The edge keys ``src·n + dst``
+    with neither end moved stay sorted; the movers' fresh edges (and
+    their reverses into unmoved hosts) are sorted alone and merged into
+    them, so the work is ``O(E)`` plus a sort of the movers' edges.  The
+    changed rows are the ends of the keys in exactly one of the old and
+    new mover edge sets: a mover that kept its neighbours changes no row.
+    The input arrays are not modified.
+    """
+    n = len(indptr) - 1
+    src = _sources(indptr)
+    mover = np.zeros(n, dtype=bool)
+    mover[moved] = True
+    touch = mover[src] | mover[dst]
+    keys = src * n + dst
+    del src
+    old, kept = keys[touch], keys[~touch]
+    del keys
+    mS, mD = unit_disk_edge_lists(positions, radius, moved)
+    back = ~mover[mD]
+    new = np.sort(np.concatenate([mS * n + mD, mD[back] * n + mS[back]]))
+    keys = np.insert(kept, np.searchsorted(kept, new), new)
+    delta = np.setxor1d(old, new, assume_unique=True)
+    changed = np.unique(np.concatenate([delta // n, delta % n]))
+    src = keys // n
+    keys -= src * n
+    return (_indptr(src, n), keys), changed
+
+
+def topology_is_connected(indptr: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether a topology is one connected component (vacuously true for
+    n = 0): a breadth-first search that expands a whole frontier per
+    numpy pass."""
+    n = len(indptr) - 1
+    if n == 0:
+        return True
+    deg = np.diff(indptr)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    front = np.zeros(1, dtype=np.int64)
+    reached = 1
+    while len(front):
+        cnt = deg[front]
+        first = np.cumsum(cnt) - cnt
+        at = np.arange(int(cnt.sum()), dtype=np.int64)
+        at += np.repeat(indptr[front] - first, cnt)
+        nb = dst[at]
+        front = np.unique(nb[~seen[nb]])
+        seen[front] = True
+        reached += len(front)
+    return reached == n
+
+
+def topology_row_diff(
+    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Ascending ids of the rows whose neighbour lists differ between two
+    topologies on the same ``n`` hosts; ``O(E)``."""
+    (ia, da), (ib, db) = a, b
+    deg = np.diff(ia)
+    diff = deg != np.diff(ib)
+    row = _sources(ia)
+    at = np.flatnonzero(~diff[row])  # edges of a in rows of equal degree
+    neq = da[at] != db[at + (ib - ia)[row[at]]]
+    diff[row[at[neq]]] = True
+    return np.flatnonzero(diff)
+
+
+def topology_rows(indptr: np.ndarray, dst: np.ndarray) -> list[int]:
+    """Bitmask rows of a topology: packed word rows, one
+    ``int.from_bytes`` per row — ``n²/8`` bytes, so only on demand."""
+    n = len(indptr) - 1
+    return row_ints(_word_rows(_sources(indptr), dst, n, n))
 
 
 def sorted_pairs(
@@ -130,13 +252,13 @@ def unit_disk_edge_lists(
     """Unit-disk ``(src, dst)`` directed edge lists for a source subset.
 
     Candidates come from the 3×3 grid-cell block around each source (cell
-    size = radius), expanded in chunks bounded by ``budget_words``.  The
-    distance arithmetic (``Σ (Δ)²`` in float64, inclusive ``d² ≤ r²``)
-    matches :func:`unit_disk_adjacency_dense` bit for bit, so calling this
-    for *all* nodes reproduces the full graph and calling it for just the
-    movers yields rows bit-identical to a full rebuild — the property both
-    :meth:`repro.graphs.adhoc.AdHocNetwork.apply_moves` and the sparse
-    pipeline's CSR patching rest on.  Edges are returned unsorted
+    size = radius, or one sized to the field at radius 0), expanded in
+    chunks bounded by ``budget_words``.  The distance arithmetic
+    (``Σ (Δ)²`` in float64, inclusive ``d² ≤ r²``) matches
+    :func:`unit_disk_adjacency_dense` bit for bit, so calling this for
+    *all* nodes reproduces the full graph and calling it for just the
+    movers yields rows bit-identical to a full rebuild — the property
+    :func:`patch_topology` rests on.  Edges are returned unsorted
     (grouped by chunk); callers sort them (:func:`sorted_pairs`).
     """
     empty = np.empty(0, dtype=np.int64)
@@ -145,7 +267,13 @@ def unit_disk_edge_lists(
         return empty, empty
     n = len(pos)
     r2 = radius * radius
-    keys = np.floor(pos / radius).astype(np.int64)
+    # radius 0 joins only co-located hosts (d² ≤ 0, as the dense
+    # strategy does); any positive cell finds them, so take one sized to
+    # hold about one host
+    cell = radius
+    if cell <= 0:
+        cell = float(np.ptp(pos, axis=0).max()) / np.sqrt(n) or 1.0
+    keys = np.floor(pos / cell).astype(np.int64)
     kx = keys[:, 0] - keys[:, 0].min()
     ky = keys[:, 1] - keys[:, 1].min()
     # +1 shift and a +3 stride make every ±1 cell offset a distinct
@@ -265,12 +393,7 @@ def edge_table(
 
 def unit_disk_edges(positions: np.ndarray, radius: float) -> list[tuple[int, int]]:
     """Edge list ``(u, v), u < v`` of the unit-disk graph."""
-    adj = unit_disk_adjacency(positions, radius)
-    edges = []
-    for u, m in enumerate(adj):
-        upper = m >> (u + 1)
-        while upper:
-            low = upper & -upper
-            edges.append((u, u + 1 + low.bit_length() - 1))
-            upper ^= low
-    return edges
+    indptr, dst = unit_disk_topology(positions, radius)
+    src = _sources(indptr)
+    up = src < dst
+    return list(zip(src[up].tolist(), dst[up].tolist()))

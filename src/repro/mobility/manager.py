@@ -57,30 +57,17 @@ class MobilityManager:
     def step(self) -> bool:
         """Advance one update interval; returns True iff topology changed.
 
-        Adjacency is maintained incrementally: only the rows of hosts
-        that actually moved (and their affected neighbors) are patched via
+        The topology is maintained incrementally: only the hosts that
+        actually moved (and their affected neighbors) are patched via
         :meth:`AdHocNetwork.apply_moves`, which is bit-identical to a full
-        rebuild.  A rolled-back retry re-applies the same moved set to
-        restore the previous rows exactly.
-
-        When the adjacency cache was never materialized and the policy is
-        ``"accept"`` (no connectivity check needed), hosts are moved
-        *without* building it: position-native consumers — the sparse
-        pipelines, which patch a persistent CSR from positions — would
-        otherwise pay an O(n^2/word) Python adjacency build per interval
-        purely for this method's bookkeeping.  The lazy path is
-        observationally identical because the cache, if later demanded,
-        rebuilds from the current positions.
+        rebuild, and the ``"retry"`` connectivity check runs on whatever
+        the network keeps (its edge list above the dense cutoff), so
+        neither policy materializes the Python bitmask rows at scale.  A
+        rolled-back retry re-applies the same moved set to restore the
+        previous topology exactly.  A network that has built nothing yet
+        stays unbuilt under ``"accept"`` and reports every row changed.
         """
         net = self.network
-        if self.on_disconnect == "accept" and not net.has_adjacency_cache:
-            before = net.positions.copy()
-            self.model.step(net.positions, self.region, self.rng)
-            moved = np.flatnonzero(np.any(net.positions != before, axis=1))
-            if moved.size:
-                net.invalidate()
-            return bool(moved.size)
-        net.adjacency  # ensure the cache exists so patches report exact deltas
         before = net.positions.copy()
 
         for attempt in range(self.max_retries):
@@ -88,8 +75,7 @@ class MobilityManager:
             moved = np.flatnonzero(np.any(net.positions != before, axis=1))
             changed = net.apply_moves(moved)
             if self.on_disconnect == "accept" or net.is_connected():
-                if attempt:
-                    self.retries_used += attempt
+                self.retries_used += attempt
                 return bool(changed)
             # roll back and redraw this interval's moves
             net.positions[:] = before

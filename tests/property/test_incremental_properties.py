@@ -1,14 +1,12 @@
 """Property tests for the incremental delta-CDS pipeline (PR 4).
 
-Three layers, each pinned against its from-scratch reference:
+Two layers, each pinned against its from-scratch reference:
 
-1. :class:`UniformGridIndex` queries == brute-force distance filtering,
-   including negative coordinates and points exactly on cell boundaries
-   (the floor-based bucketing's edge cases);
-2. incrementally maintained adjacency (:meth:`AdHocNetwork.apply_moves`)
+1. incrementally maintained adjacency (:meth:`AdHocNetwork.apply_moves`)
    == a full :func:`unit_disk_adjacency` rebuild over random move
-   sequences — both the dense and the grid delta strategies;
-3. :class:`DeltaCDSPipeline` gateway masks == :func:`compute_cds` for all
+   sequences (n ≤ 30: the bitmask-row patch; the edge-list patch above
+   the cutoff is pinned in ``tests/graphs/test_adhoc_topology.py``);
+2. :class:`DeltaCDSPipeline` gateway masks == :func:`compute_cds` for all
    five schemes over random move sequences with draining energy, and over
    service churn (moves, drains, joins and leaves fed with ``ids``, so
    membership changes are spliced rather than started cold).
@@ -28,67 +26,10 @@ from repro.core.cds import compute_cds
 import repro.core.delta as delta_mod
 from repro.core.delta import DeltaCDSPipeline
 from repro.core.priority import SCHEMES
-from repro.geometry.spatial_index import UniformGridIndex
 from repro.graphs.adhoc import AdHocNetwork
 from repro.graphs.unitdisk import unit_disk_adjacency
 from repro.service.state import TenantState
 from repro.service.updates import Drain, Join, Leave, Move
-
-# Coordinates straddle zero and land on exact multiples of every radius
-# below, exercising the floor-bucketing seams.  They are quantized to 0.5
-# so squared distances are exact in float64: a coordinate within a
-# sub-ulp of a cell seam can otherwise make the float ``d2 <= r*r``
-# filter accept a point whose true distance exceeds r and which therefore
-# legitimately lies outside the 3x3 cell block (a measure-zero tie the
-# simulator's clamped [0, side] domain cannot produce).
-coords = st.integers(-100, 100).map(lambda k: 0.5 * k)
-radii = st.sampled_from([1.0, 2.5, 5.0, 25.0])
-point_arrays = st.lists(
-    st.tuples(coords, coords), min_size=1, max_size=40
-).map(lambda pts: np.array(pts, dtype=np.float64))
-
-
-def _brute_query(pts: np.ndarray, q, r: float) -> list[int]:
-    d2 = np.sum((pts - np.asarray(q, dtype=np.float64)) ** 2, axis=1)
-    return [int(i) for i in np.flatnonzero(d2 <= r * r)]
-
-
-class TestGridIndexProperties:
-    @given(point_arrays, radii)
-    @settings(max_examples=150, deadline=None)
-    def test_query_matches_brute_force(self, pts, radius):
-        idx = UniformGridIndex(pts, radius)
-        for q in pts[:8]:
-            assert idx.query(q) == _brute_query(pts, q, radius)
-
-    @given(point_arrays, radii)
-    @settings(max_examples=100, deadline=None)
-    def test_cell_block_is_candidate_superset(self, pts, radius):
-        idx = UniformGridIndex(pts, radius)
-        for q in pts[:8]:
-            block = set(idx.cell_block(q))
-            assert block >= set(_brute_query(pts, q, radius))
-
-    @given(point_arrays, radii, st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_query_after_incremental_moves(self, pts, radius, data):
-        """move() re-bucketing keeps queries exact (aliased array mutated)."""
-        idx = UniformGridIndex(pts, radius)
-        n = len(pts)
-        for _ in range(data.draw(st.integers(1, 5))):
-            i = data.draw(st.integers(0, n - 1))
-            pts[i] = data.draw(st.tuples(coords, coords))
-            idx.move(i)
-        for q in pts[:8]:
-            assert idx.query(q) == _brute_query(pts, q, radius)
-
-    def test_point_on_cell_boundary(self):
-        # x == k * radius exactly: the point sits on the seam between cells
-        pts = np.array([[25.0, 0.0], [25.0 - 1e-9, 0.0], [-25.0, -25.0]])
-        idx = UniformGridIndex(pts, 25.0)
-        for q in pts:
-            assert idx.query(q) == _brute_query(pts, q, 25.0)
-
 
 # small regions force topology churn; mix fractional and full-set moves so
 # both the dense/grid patch path and the rebuild fallback are exercised
