@@ -11,7 +11,14 @@ Public surface:
   :class:`repro.core.cds.CDSResult`,
 * :mod:`repro.core.properties` — domination/connectivity/Property-3 checks,
 * :mod:`repro.core.reduction` — single-pass vs fixed-point pipelines.
+
+The batched kernels (:mod:`repro.core.vectorized`, :mod:`repro.core.sparse`)
+load on first use of one of their names here, so a program that runs
+only the scalar or delta paths never imports them.
 """
+
+import importlib
+from typing import TYPE_CHECKING
 
 from repro.core.priority import (
     SCHEMES,
@@ -30,18 +37,6 @@ from repro.core.properties import (
 from repro.core.reduction import prune, PruneStats
 from repro.core.rule_k import compute_cds_rule_k, rule_k_pass
 from repro.core.components_cds import compute_cds_per_component
-from repro.core.vectorized import (
-    BatchCDSEngine,
-    VectorizedCDSPipeline,
-    compute_cds_batch,
-    compute_cds_rule_k_batch,
-)
-from repro.core.sparse import (
-    CSRBatch,
-    SparseCDSEngine,
-    SparseCDSPipeline,
-    compute_cds_sparse,
-)
 from repro.core.unidirectional import (
     compute_directed_cds,
     directed_marking,
@@ -96,3 +91,38 @@ __all__ = [
     "compute_cds_batch",
     "compute_cds_rule_k_batch",
 ]
+
+if TYPE_CHECKING:
+    from repro.core.sparse import (
+        CSRBatch,
+        SparseCDSEngine,
+        SparseCDSPipeline,
+        compute_cds_sparse,
+    )
+    from repro.core.vectorized import (
+        BatchCDSEngine,
+        VectorizedCDSPipeline,
+        compute_cds_batch,
+        compute_cds_rule_k_batch,
+    )
+
+#: names served lazily, by the module that defines them
+_LAZY = {
+    "BatchCDSEngine": "repro.core.vectorized",
+    "VectorizedCDSPipeline": "repro.core.vectorized",
+    "compute_cds_batch": "repro.core.vectorized",
+    "compute_cds_rule_k_batch": "repro.core.vectorized",
+    "CSRBatch": "repro.core.sparse",
+    "SparseCDSEngine": "repro.core.sparse",
+    "SparseCDSPipeline": "repro.core.sparse",
+    "compute_cds_sparse": "repro.core.sparse",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

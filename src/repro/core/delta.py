@@ -74,9 +74,9 @@ from repro.core.marking import (
 from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
-from repro.core.vectorized import pair_index_arrays
 from repro.errors import ConfigurationError
 from repro.graphs import bitset
+from repro.graphs.unitdisk import pair_index_arrays
 
 __all__ = [
     "CachedRuleEngine",

@@ -132,16 +132,16 @@ class RuleEngine:
 
     # -- Rule 2 ------------------------------------------------------------
 
-    def rule2_pass(self, marked: int) -> int:
-        """One Rule-2 pass (iterated local-minimum rounds); returns the new
-        marked mask.  See the module docstring for why this is the sound
-        batch semantics.
+    def firing_pairs(self, marked: int) -> dict[int, list[int]]:
+        """Per marked node ``v``, the two-bit masks of its marked neighbour
+        pairs ``{u, w}`` whose coverage + case analysis + key comparison
+        already favor removing ``v`` (nodes without any are left out).
 
         Performance note (profile-driven): whether a triple ``(v, u, w)``
         *would* fire depends only on the adjacency and the (fixed) keys —
         the marked set decides merely whether ``u`` and ``w`` are still
         eligible.  So the O(deg²) coverage tests run once per node here,
-        and every wave's re-check is a scan of precomputed two-bit masks.
+        and every wave's re-check is a scan of these masks.
         """
         counting = obs.enabled()
         n_cov_tests = 0
@@ -150,9 +150,6 @@ class RuleEngine:
         keys = self.keys
         cases = self.scheme.uses_coverage_cases
 
-        # precompute, per marked node, the neighbor pairs whose coverage +
-        # case analysis + key comparison already favor removal; at run
-        # time the pair fires iff both members are still marked
         firing_pairs: dict[int, list[int]] = {}
         m = marked
         while m:
@@ -193,6 +190,21 @@ class RuleEngine:
                 firing_pairs[v] = pairs
                 if counting:
                     n_firing += len(pairs)
+        if counting:
+            obs.add("rule2.coverage_tests", n_cov_tests)
+            obs.add("rule2.firing_pairs", n_firing)
+        return firing_pairs
+
+    def rule2_pass(self, marked: int) -> int:
+        """One Rule-2 pass (iterated local-minimum rounds); returns the new
+        marked mask.  See the module docstring for why this is the sound
+        batch semantics; the firing pairs are precomputed once
+        (:meth:`firing_pairs`), so a wave only checks markedness.
+        """
+        counting = obs.enabled()
+        adj = self.adj
+        keys = self.keys
+        firing_pairs = self.firing_pairs(marked)
 
         def fires(v: int, current: int) -> bool:
             return any(pm & current == pm for pm in firing_pairs.get(v, ()))
@@ -204,8 +216,6 @@ class RuleEngine:
                 candidates |= 1 << v
         if counting:
             obs.add("rule2.nodes_evaluated", bitset.popcount(marked))
-            obs.add("rule2.coverage_tests", n_cov_tests)
-            obs.add("rule2.firing_pairs", n_firing)
             obs.add("rule2.candidates_initial", bitset.popcount(candidates))
         rounds = 0
         while candidates:

@@ -79,6 +79,7 @@ from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.core.vectorized import (
     BatchCDSEngine,
+    _Probe,
     _batch_inputs,
     _batch_results,
     _scatter_any,
@@ -220,29 +221,27 @@ def connected_labels(indptr: np.ndarray, dst_flat: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _key_probe(keys: np.ndarray, n: int):
-    """Membership probe ``member(rows, cols)`` over sorted edge keys.
+def _key_probe(keys: np.ndarray, n: int) -> _Probe:
+    """Membership probe over sorted edge keys.
 
-    ``keys`` is the sorted ``eS·n + eD`` array of the (sub)graph's edges;
-    ``member(rows, cols)[k]`` is ``uint64`` 1 when ``(rows[k], cols[k])``
-    is one of them and 0 otherwise — a binary search per query, the
-    stand-in for the dense engine's word gather
+    ``keys`` is the sorted ``eS·n + eD`` array of the (sub)graph's edges,
+    so a query's scaled row plus its column is its key: ``member`` answers
+    ``uint64`` 1 when the key is one of them and 0 otherwise — a binary
+    search per query, the stand-in for the dense engine's word gather
     (:func:`repro.core.vectorized._word_probe`).  ``searchsorted``
     returning ``len(keys)`` means the query exceeds every key, so
     clamping to the last slot compares unequal — no branch needed.
     """
 
-    def member(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def member(base: np.ndarray, cols: np.ndarray) -> np.ndarray:
         if len(keys) == 0:
-            return np.zeros(len(rows), dtype=np.uint64)
-        q = rows
-        q *= n  # the caller's temporary: reused as the query key
-        q += cols
-        idx = np.searchsorted(keys, q)
+            return np.zeros(len(base), dtype=np.uint64)
+        base += cols  # the query key
+        idx = np.searchsorted(keys, base)
         np.minimum(idx, len(keys) - 1, out=idx)
-        return (keys[idx] == q).astype(np.uint64)
+        return (keys[idx] == base).astype(np.uint64)
 
-    return member
+    return _Probe(n, member)
 
 
 @dataclass(frozen=True)
@@ -538,11 +537,11 @@ class SparseCDSEngine:
         with obs.span("edge_miss"):
             # globally sorted: (src, dst) ascending
             if self.word_rows_fit(B, n):
-                member = _word_probe(_word_rows(beS, beD, B * n, n))
+                probe = _word_probe(_word_rows(beS, beD, B * n, n))
             else:
-                member = _key_probe(beS * n + beD, n)
-            miss = dense._edge_miss(member, beD, boff, bdeg, beS, beDf)
-            del member
+                probe = _key_probe(beS * n + beD, n)
+            miss = dense._edge_miss(probe, beD, boff, bdeg, beS, beDf)
+            del probe
 
         marked0 = _scatter_any(beS[miss.cnt >= 2], B * n)
         mcomps = comp_of[np.flatnonzero(marked0)]

@@ -29,10 +29,11 @@ For every element the gateway mask and :class:`PruneStats` are
   ``N(v) \\ N[u]`` non-empty (per-directed-edge witness test);
 * Rule 1: simultaneous pass against a snapshot — ``v`` unmarks iff a
   *marked* neighbor ``u`` has ``N[v] ⊆ N[u]`` and ``key(v) < key(u)``;
-* Rule 2: iterated local-minimum rounds exactly as
-  :meth:`repro.core.rules.RuleEngine.rule2_pass` — candidates are marked
-  nodes with a live firing pair, a candidate commits iff it outranks every
-  candidate neighbor, rounds repeat until no commits;
+* Rule 2: the removals of :meth:`repro.core.rules.RuleEngine.rule2_pass`'s
+  iterated local-minimum rounds, committed as settled sets — candidates
+  are marked nodes with a live firing pair, and a round commits every
+  candidate whose fate those rounds have already settled (DESIGN §1), so
+  it takes at most as many rounds;
 * keys compare as dense integer ranks built by ``np.lexsort`` over the
   exact quantized components the tuple keys contain (the same construction
   :class:`repro.core.delta.CachedRuleEngine` uses), so every comparison
@@ -55,16 +56,18 @@ el1/el2 *mutual coverage* ``N(u) ⊆ N(v) ∪ N(w)`` is ``M[u→v] & M[u→w]
 so they share its width: the table is ragged, ``words_for(deg(v))``
 words per edge of ``v`` (``Σ_v deg(v)·⌈deg(v)/64⌉`` in all, one per edge
 at constant density), and only queries on rows wider than one word take
-a second pass (:meth:`_EdgeMasks.disjoint`).
+a second pass (:meth:`_EdgeMasks.disjoint`).  Most marked pairs cannot
+cover, and a word-wise witness filter over the same masks drops them
+before any test (:func:`_witness_pairs`).
 
 One kernel set, two probes
 --------------------------
 The masks are the only adjacency question any kernel asks, through one
-callable ``member(rows, cols)`` (is local node ``cols[k]`` in
-``N(rows[k])``? as ``uint64`` 0/1).  Here it is a single-word gather
-from the packed rows (:func:`_word_probe`); the sparse engine's
-big-component tier (:mod:`repro.core.sparse`) passes the same gather
-over word rows it packs from its edges when they fit the memory budget,
+probe (:class:`_Probe`: is local node ``cols[k]`` in ``N(rows[k])``? as
+``uint64`` 0/1, with each edge's row scaled once).  Here it is a
+single-word gather from the packed rows (:func:`_word_probe`); the sparse
+engine's big-component tier (:mod:`repro.core.sparse`) passes the same
+gather over word rows it packs from its edges when they fit the memory budget,
 and a binary search over sorted edge keys beyond it, and runs these same
 kernels and the same round loop (:meth:`BatchCDSEngine._prune`), with
 connected components in place of batch elements as the groups that
@@ -73,7 +76,7 @@ count rounds and freeze.
 Streamed in cache-sized blocks
 ------------------------------
 Every expansion (the miss-mask pass of :meth:`BatchCDSEngine._edge_miss`
-and the pair blocks of :meth:`BatchCDSEngine._firing_triples`) streams
+and the witness-filtered pair runs of :func:`_witness_pairs`) streams
 in blocks of ``min(chunk_words(memory_budget_mb), CACHE_BLOCK)`` members,
 so each of the dozen numpy temporaries a block makes stays in a core's
 L2 cache instead of round-tripping through memory; the budget still caps
@@ -86,7 +89,7 @@ previous one left (:meth:`BatchCDSEngine._rule2`).
 from __future__ import annotations
 
 import os
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,6 +106,7 @@ from repro.graphs.unitdisk import (
     _sources,
     _word_rows,
     edge_table,
+    pair_index_arrays,
     popcount_rows,
 )
 
@@ -269,54 +273,37 @@ def flags_to_masks(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def pair_index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs ``(i, j)``, ``i < j``, per group, concatenated.
+class _Probe(NamedTuple):
+    """Membership probe: is local node ``cols[k]`` in ``N(rows[k])``?
 
-    For each group size ``c`` in ``counts`` this emits its ``c·(c-1)/2``
-    pairs grouped by ascending ``j``.  In by-``j`` order a group's pairs
-    are the first ``c·(c-1)/2`` entries of one triangle template sized
-    to the largest group, so every group is a gather from that template:
-    no per-group Python loop, and the template is never larger than the
-    output.  Pair order *within* a group differs from ``np.triu_indices``
-    (by-j vs row-major) but every consumer treats the pair list as a set.
+    ``member(base, cols)[k]`` answers it as a ``uint64`` 0 or 1, where
+    ``base[k] = rows[k] * scale``: the caller scales each edge's row once
+    and repeats it over the edge's members, and ``member`` may overwrite
+    ``base``.  :meth:`BatchCDSEngine._edge_miss` is the only caller.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    pcs = counts * (counts - 1) >> 1
-    total = int(pcs.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    top = int(counts.max())
-    tj = np.repeat(np.arange(top, dtype=np.int64), np.arange(top))
-    ti = np.arange(len(tj), dtype=np.int64) - (tj * (tj - 1) >> 1)
-    t = np.arange(total, dtype=np.int64)
-    t -= np.repeat(np.cumsum(pcs) - pcs, pcs)
-    return ti[t], tj[t]
+
+    scale: int
+    member: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _word_probe(rows_flat: np.ndarray):
-    """Membership probe ``member(rows, cols)`` over packed word rows.
+def _word_probe(rows_flat: np.ndarray) -> _Probe:
+    """Probe over packed word rows: one single-word gather per query.
 
-    ``member(rows, cols)[k]`` is bit ``cols[k]`` of row ``rows[k]`` as a
-    ``uint64`` 0 or 1 — one single-word gather per query.
-    :meth:`BatchCDSEngine._edge_miss` takes any probe of this shape; the
-    sparse engine's big tier uses this one over rows it packs from its
-    edges, or a sorted-edge-key one when those rows would not fit the
-    memory budget.
+    The sparse engine's big tier uses it over rows it packs from its
+    edges, or a sorted-edge-key probe when those rows would not fit the
+    memory budget (:func:`repro.core.sparse._key_probe`).
     """
     W = rows_flat.shape[1]
     flat = rows_flat.reshape(-1)
 
-    def member(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows *= W  # the caller's temporary: reused as the word index
-        rows += cols >> 6
-        words = flat[rows]
-        del rows
-        words >>= cols.astype(np.uint64) & _U64_63
+    def member(base: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        base += cols >> 6  # the word index
+        words = flat[base]
+        words >>= cols.view(np.uint64) & _U64_63
         words &= _U64_1
         return words
 
-    return member
+    return _Probe(W, member)
 
 
 def _blocks(counts: np.ndarray, budget: int):
@@ -356,14 +343,116 @@ def _scatter_any(hits: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(hits, minlength=size).astype(bool)
 
 
+#: set-bit positions of every byte value, eight slots per byte (zero
+#: padded), and the byte values' popcounts
+_BYTE_BITS = np.array(
+    [[p for p in range(8) if b >> p & 1] + [0] * (8 - bin(b).count("1"))
+     for b in range(256)],
+    dtype=np.int64,
+).reshape(-1)
+_BYTE_POP = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def _peel(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, p)`` for every set bit ``p`` of ``words[k]``, ascending.
+
+    Decoded bytewise: each nonzero byte's set bits come from one table
+    row, so the work is the bytes plus the set bits, with no per-bit
+    loop.
+    """
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    at = np.flatnonzero(raw)
+    byte = raw[at]
+    c = _BYTE_POP[byte]
+    at = np.repeat(at, c)
+    slot = np.repeat(byte.astype(np.int64) * 8 - (np.cumsum(c) - c), c)
+    slot += np.arange(len(at))
+    return at >> 3, (at & 7) * 8 + _BYTE_BITS[slot]
+
+
+def _witness_pairs(miss, eS, sel, budget):
+    """Pairs of marked neighbours of ``v`` that may cover ``N(v)``.
+
+    ``sel`` holds the edges between marked nodes in edge order.  ``w``
+    can cover for ``(v, u)`` only if it is adjacent to every member of
+    ``M[v→u]``; in ``v``'s local bits, ``w``'s bit is clear in
+    ``M[v→x]`` for each member ``x``.  So each edge ``(v→u)`` ANDs, word
+    by word from ``u``'s word on, ``~M[v→u]``, ``~M[v→x]`` for the two
+    lowest members ``x ≠ u`` in ``u``'s word, the row's marked-neighbour
+    bits and the bits above ``u``, and peels what survives.  Edges
+    stream in runs of at most ``budget`` candidate pairs (the marked
+    neighbours after ``u``), or one edge that has more.  Yields per run
+    the edges' candidate counts and the ``(v, edge (v→u), edge (v→w))``
+    arrays of the surviving pairs.  Rows wider than a word take the
+    same path, each edge spread over its words from ``u``'s on.
+    """
+    if not len(sel):
+        return
+    src = eS[sel]
+    mdeg = np.bincount(src, minlength=len(miss.width))
+    pos = sel - miss.start[src]  # u's bit in v's local index
+    # marked-neighbour bits per row, ragged like the masks
+    rstart = np.cumsum(miss.width) - miss.width
+    slot = rstart[src] + (pos >> 6)
+    heads = np.flatnonzero(np.diff(slot, prepend=-1))
+    mbits = np.zeros(int(miss.width.sum()), dtype=np.uint64)
+    mbits[slot[heads]] = np.bitwise_or.reduceat(
+        _U64_1 << (pos.view(np.uint64) & _U64_63), heads
+    )
+    after = np.cumsum(mdeg)[src] - 1 - np.arange(len(sel))
+    live = after > 0
+    sel, pos, after, slot = sel[live], pos[live], after[live], slot[live]
+    words, off = miss.words, miss.off
+    for lo, hi in _blocks(after, budget):
+        e, pu = sel[lo:hi], pos[lo:hi]
+        row0, ku = e - pu, pu >> 6  # v's first edge, u's word
+        a0 = off[e] + ku  # M[v→u]'s word holding u
+        bit = _U64_1 << (pu.view(np.uint64) & _U64_63)
+        mx = words[a0] ^ bit  # members besides u in that word
+        x1 = np.where(mx != 0, mx & (~mx + _U64_1), bit)
+        x2 = mx ^ x1
+        x2 = np.where(x2 != 0, x2 & (~x2 + _U64_1), x1)
+        # a member's edge is v's first edge plus its local index: its
+        # bit's position in the word, plus 64 per word before u's
+        word0 = row0 + (ku << 6)
+        a1 = off[word0 + popcount_rows((x1 - _U64_1)[:, None])] + ku
+        a2 = off[word0 + popcount_rows((x2 - _U64_1)[:, None])] + ku
+        if miss.wide:
+            nu = miss.width[eS[e]] - ku  # words from u's on
+            first = np.cumsum(nu) - nu
+            edge = np.repeat(np.arange(hi - lo), nu)
+            d = np.arange(len(edge)) - first[edge]
+
+            def spread(a):
+                return a[edge] + d
+        else:
+            first = edge = np.arange(hi - lo)
+
+            def spread(a):
+                return a
+
+        m = words[spread(a0)]
+        m |= words[spread(a1)]
+        m |= words[spread(a2)]
+        np.invert(m, out=m)
+        m &= mbits[spread(slot[lo:hi])]
+        m[first] &= ~(bit | (bit - _U64_1))  # w above u
+        unit, p = _peel(m)
+        i = edge[unit]
+        w = row0[i] + (spread(ku)[unit] << 6) + p
+        yield after[lo:hi], eS[e[i]], e[i], w
+
+
 class _EdgeMasks(NamedTuple):
     """Ragged miss masks: edge ``e``'s ``width[eS[e]]`` words at ``off[e]``,
-    ``cnt[e]`` bits set (:meth:`BatchCDSEngine._edge_miss`)."""
+    ``cnt[e]`` bits set (:meth:`BatchCDSEngine._edge_miss`); bit ``p`` is
+    the neighbour at edge ``start[eS[e]] + p``."""
 
     cnt: np.ndarray
     words: np.ndarray
     off: np.ndarray
     width: np.ndarray  # per source row
+    start: np.ndarray  # per source row: its first edge
     wide: bool  # some row has more than 64 neighbours
 
     def disjoint(self, src, ea, eb) -> np.ndarray:
@@ -457,12 +546,12 @@ class BatchCDSEngine:
 
     # -- kernels (shared with the sparse engine's big tier) ----------------
     #
-    # ``member(rows, cols)`` is the membership probe (module docstring),
-    # used by ``_edge_miss`` only, and may overwrite ``rows``; edge arrays
+    # ``probe`` is the membership probe (:class:`_Probe`), used by
+    # ``_edge_miss`` only; edge arrays
     # ``(eS, eD, eDf)`` are in ascending (source, destination) order, and
     # ``eoff``/``deg`` index each source's run of edges.
 
-    def _edge_miss(self, member, eD, eoff, deg, eS, eDf) -> "_EdgeMasks":
+    def _edge_miss(self, probe, eD, eoff, deg, eS, eDf) -> "_EdgeMasks":
         """Per-directed-edge miss masks ``M[v→u] = N(v) \\ N(u)``.
 
         One expansion pass over the edge table, the probe's only caller.
@@ -473,8 +562,13 @@ class BatchCDSEngine:
         * ``cnt == 1`` ⟺ ``N[v] ⊆ N[u]`` (Rule-1 closed coverage);
         * ``cnt >= 2`` ⟺ ``u`` certifies ``v``'s marking (some other
           neighbor of ``v`` is unreachable from ``u`` in one hop).
+
+        When no row is wide every edge packs into one word, so a block's
+        cuts are its edges' starts and the counts are the words'
+        popcounts.
         """
         width = (deg + 63) >> 6  # words per edge of each source row
+        wide = bool((width > 1).any())
         ew = width[eS]
         off = np.cumsum(ew) - ew
         words = np.empty(int(ew.sum()), dtype=np.uint64)
@@ -482,17 +576,22 @@ class BatchCDSEngine:
         for lo, hi, within in _expand(seg, self._block):
             cnt = seg[lo:hi]
             xs = eD[np.repeat(eoff[eS[lo:hi]], cnt) + within]  # N(v)
-            bits = member(np.repeat(eDf[lo:hi], cnt), xs)
+            bits = probe.member(np.repeat(eDf[lo:hi] * probe.scale, cnt), xs)
             del xs
             bits ^= _U64_1  # 1 where x ∉ N(u)
-            within &= 63
-            bits <<= within.astype(np.uint64)
+            if wide:
+                within &= 63
+                cut = np.flatnonzero(within == 0)
+            else:
+                cut = np.cumsum(cnt) - cnt
+            bits <<= within.view(np.uint64)
             # each edge's run of members packs into its own words
-            cut, w0 = np.flatnonzero(within == 0), off[lo]
+            w0 = off[lo]
             words[w0 : w0 + len(cut)] = np.bitwise_or.reduceat(bits, cut)
         pop = popcount_rows(words[:, None])
-        cnt = np.add.reduceat(pop, off) if len(off) else off
-        return _EdgeMasks(cnt, words, off, width, bool((width > 1).any()))
+        if wide:
+            pop = np.add.reduceat(pop, off) if len(off) else off
+        return _EdgeMasks(pop, words, off, width, eoff, wide)
 
     def _rule1(self, eS, eDf, misscnt, marked, rank) -> np.ndarray:
         """Simultaneous Rule-1 pass: pure arithmetic on the miss counts."""
@@ -511,30 +610,19 @@ class BatchCDSEngine:
         Returns flat arrays ``(fV, fUf, fWf)``: a triple fires iff its
         coverage + case analysis + key comparison already favor removing
         ``v`` — whether it is *live* is then only a markedness check, just
-        like the scratch engine's precomputed pair masks.  The pair
-        expansion walks source rows in blocks of at most ``_block``
-        triples (or one row that has more), so the triple table is never
-        materialized whole.
+        like the scratch engine's precomputed pair masks.  Only the pairs
+        that pass the witness filter (:func:`_witness_pairs`) take the
+        exact coverage test, streamed in blocks of at most ``_block``
+        candidate pairs (or one edge that has more).
         """
         R = len(marked)
         empty = np.empty(0, dtype=np.int64)
-        sel_idx = np.flatnonzero(marked[eS] & marked[eDf])  # by source
-        mdeg = np.bincount(eS[sel_idx], minlength=R)
-        pcs = mdeg * (mdeg - 1) >> 1
-        total = int(pcs.sum())
-        if total == 0:
-            return empty, empty, empty
-        offs = np.cumsum(mdeg) - mdeg  # per-row offset into sel_idx
-        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        n_covered = 0
-        for r0, r1 in _blocks(pcs, self._block):
-            i, j = pair_index_arrays(mdeg[r0:r1])
-            if len(i) == 0:
-                continue
-            tV = np.repeat(np.arange(r0, r1, dtype=np.int64), pcs[r0:r1])
-            base = np.repeat(offs[r0:r1], pcs[r0:r1])
-            gU = sel_idx[base + i]  # edge id of (v, u)
-            gW = sel_idx[base + j]  # edge id of (v, w)
+        sel = np.flatnonzero(marked[eS] & marked[eDf])  # by source
+        parts = [(empty, empty, empty)]
+        total = n_tested = n_covered = 0
+        for bound, tV, gU, gW in _witness_pairs(miss, eS, sel, self._block):
+            total += int(bound.sum())
+            n_tested += len(tV)
             # N(v) ⊆ N(u) ∪ N(w) ⟺ M[v→u] ∩ M[v→w] = ∅; it implies
             # u ~ w (w ∈ N(v) needs covering and w ∉ N(w))
             cov = miss.disjoint(tV, gU, gW)
@@ -548,31 +636,45 @@ class BatchCDSEngine:
                 # collapse of the paper's case table (cf. delta._eval_fire):
                 # the u-side key test is waived exactly when u is not
                 # mutually covered, N(u) ⊄ N(v) ∪ N(w) ⟺ M[u→v] ∩ M[u→w]
-                # ≠ ∅; symmetrically for w.  (u→w) is found by its key.
-                gUW = np.searchsorted(keys, cUf * R + cWf)
+                # ≠ ∅; symmetrically for w.  (u→w) is found by its key,
+                # searched in ascending order (each search starts where
+                # the one before it ended)
+                q = cUf * R + cWf
+                order = np.argsort(q)
+                gUW = np.empty_like(order)
+                gUW[order] = np.searchsorted(keys, q[order])
                 lu |= ~miss.disjoint(cUf, rev[gU], gUW)
                 lw |= ~miss.disjoint(cWf, rev[gW], rev[gUW])
             fire = lu & lw
             parts.append((cV[fire], cUf[fire], cWf[fire]))
-        parts = parts or [(empty, empty, empty)]
         fV, fUf, fWf = map(np.concatenate, zip(*parts))
         if obs.enabled():
-            # the scalar engine's names: one primary test per pair
+            # the scalar engine's names: one primary test per pair; the
+            # pairs the filter left for the exact test are pair_tests
             obs.add("rule2.coverage_tests", total)
+            obs.add("rule2.pair_tests", n_tested)
             obs.add("rule2.covered_triples", n_covered)
             obs.add("rule2.firing_pairs", len(fV))
         return fV, fUf, fWf
 
     def _rule2(self, miss, rev, keys, eS, eDf, marked, rank):
-        """One Rule-2 pass: iterated local-minimum rounds over every group.
+        """One Rule-2 pass: settled-set commit rounds over every group.
 
-        A candidate is a marked node with a live firing triple; a round
-        commits every candidate that outranks all its candidate
-        neighbours.  Removals never create candidates, so each round
-        hands the next only a worklist: the triples whose ``v`` is still
-        a candidate and whose ``u`` and ``w`` are still marked, and the
-        edges between surviving candidates (filtered, so still sorted by
-        source for the per-source rival minimum).
+        Removes exactly what the scalar engine's local-minimum rounds
+        remove, which is what one pass over the candidates in ascending
+        rank removes (DESIGN §1).  A candidate is a marked node with a
+        live firing triple, and a triple is *safe* when neither ``u``
+        nor ``w`` is a candidate ranked below ``v``.  Each round commits
+        the largest candidate set ``S`` such that (i) every member has a
+        safe live triple and (ii) a member that sits in a live triple of
+        a lower-ranked candidate brings that candidate into ``S``: start
+        from the candidates with a safe triple and drop the ones that
+        break (ii) until none do.  (i) makes each member a removal of
+        the ascending pass, (ii) keeps every undecided lower-ranked
+        candidate seeing what that pass shows it, and ``S`` holds every
+        local minimum, so there are never more rounds than the scratch
+        engine's.  Removals never create candidates, so each round hands
+        the next only the triples that are still live.
         """
         R = len(marked)
         with obs.span("rule2_triples"):
@@ -585,28 +687,34 @@ class BatchCDSEngine:
         if len(fV):
             with obs.span("rule2_rounds"):
                 current = marked.copy()
-                ce = cand[eS] & cand[eDf]
-                ceS, ceD = eS[ce], eDf[ce]
                 while len(fV):
                     rounds += 1
                     scanned += len(fV)
-                    commit = cand.copy()
-                    if len(ceS):
-                        head = np.flatnonzero(np.diff(ceS, prepend=-1))
-                        rival = np.minimum.reduceat(rank[ceD], head)
-                        src = ceS[head]
-                        commit[src[rival < rank[src]]] = False
-                    if not commit.any():  # pragma: no cover - a global min commits
+                    rv = rank[fV]
+                    up_u, up_w = rank[fUf] > rv, rank[fWf] > rv
+                    safe = (up_u | ~cand[fUf]) & (up_w | ~cand[fWf])
+                    settled = _scatter_any(fV[safe], R)
+                    held = ~settled[fV]  # triples of unsettled candidates
+                    while True:
+                        pin = np.concatenate(
+                            (fUf[held & up_u], fWf[held & up_w])
+                        )
+                        pin = pin[settled[pin]]
+                        if not len(pin):
+                            break
+                        settled[pin] = False
+                        dropped = np.zeros(R, dtype=bool)
+                        dropped[pin] = True
+                        held = dropped[fV]
+                    if not settled.any():  # pragma: no cover - minima settle
                         break
-                    current &= ~commit
+                    current &= ~settled
                     keep = current[fV] & current[fUf] & current[fWf]
                     fV, fUf, fWf = fV[keep], fUf[keep], fWf[keep]
                     cand = _scatter_any(fV, R)
-                    ce = cand[ceS] & cand[ceD]
-                    ceS, ceD = ceS[ce], ceD[ce]
         if obs.enabled():
-            # the scalar engine's names; rounds run call-wide, so they
-            # equal its count only when a call holds one whole element
+            # the scalar engine's names; its candidate_rounds are
+            # local-minimum rounds, these the commit rounds
             obs.add("rule2.candidates_initial", int(cand0.sum()))
             obs.add("rule2.candidate_rounds", rounds)
             obs.add("rule2.removed", int((marked & ~current).sum()))

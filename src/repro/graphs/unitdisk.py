@@ -47,6 +47,7 @@ __all__ = [
     "row_ints",
     "edge_table",
     "popcount_rows",
+    "pair_index_arrays",
 ]
 
 #: Above this node count the grid strategy wins; below, dense broadcasting.
@@ -351,6 +352,31 @@ def popcount_rows(rows: np.ndarray) -> np.ndarray:
         np.ascontiguousarray(rows).view(np.uint8), axis=-1, bitorder="little"
     )
     return bits.sum(axis=-1, dtype=np.int64)
+
+
+def pair_index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs ``(i, j)``, ``i < j``, per group, concatenated.
+
+    For each group size ``c`` in ``counts`` this emits its ``c·(c-1)/2``
+    pairs grouped by ascending ``j``.  In by-``j`` order a group's pairs
+    are the first ``c·(c-1)/2`` entries of one triangle template sized
+    to the largest group, so every group is a gather from that template:
+    no per-group Python loop, and the template is never larger than the
+    output.  Pair order *within* a group differs from ``np.triu_indices``
+    (by-j vs row-major) but every consumer treats the pair list as a set.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    pcs = counts * (counts - 1) >> 1
+    total = int(pcs.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    top = int(counts.max())
+    tj = np.repeat(np.arange(top, dtype=np.int64), np.arange(top))
+    ti = np.arange(len(tj), dtype=np.int64) - (tj * (tj - 1) >> 1)
+    t = np.arange(total, dtype=np.int64)
+    t -= np.repeat(np.cumsum(pcs) - pcs, pcs)
+    return ti[t], tj[t]
 
 
 def edge_table(

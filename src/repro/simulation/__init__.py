@@ -4,10 +4,12 @@ One *update interval* = compute CDS on the current topology → drain energy
 by gateway status → roam hosts → regenerate topology.  The lifespan
 simulator runs intervals until the first host dies (the paper's stop
 condition); the runner fans trials out over processes with independent
-seed streams.
+seed streams.  ``run_lifespan_batch`` (and with it the batched kernels)
+loads on first use.
 """
 
-from repro.simulation.batch_lifespan import run_lifespan_batch
+from typing import TYPE_CHECKING
+
 from repro.simulation.config import SimulationConfig
 from repro.simulation.interval import IntervalOutcome, run_interval
 from repro.simulation.lifespan import LifespanResult, LifespanSimulator
@@ -38,3 +40,15 @@ __all__ = [
     "TrialRunner",
     "run_trials",
 ]
+
+if TYPE_CHECKING:
+    from repro.simulation.batch_lifespan import run_lifespan_batch
+
+
+def __getattr__(name: str):
+    if name == "run_lifespan_batch":
+        from repro.simulation.batch_lifespan import run_lifespan_batch
+
+        globals()[name] = run_lifespan_batch
+        return run_lifespan_batch
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

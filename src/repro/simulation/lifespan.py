@@ -28,9 +28,6 @@ from repro import obs
 from repro.core.delta import INCREMENTAL_MIN_HOSTS, DeltaCDSPipeline
 from repro.core.priority import scheme_by_name
 from repro.core.registry import algorithm_by_name
-from repro.core.sparse import SparseCDSPipeline
-from repro.core.sparse_delta import IncrementalSparseCDSPipeline
-from repro.core.vectorized import VectorizedCDSPipeline
 from repro.energy.accounting import EnergyAccountant
 from repro.energy.battery import BatteryBank
 from repro.energy.models import drain_model_by_name
@@ -95,6 +92,8 @@ class LifespanSimulator:
         if self.algorithm.name != "wu_li":
             self.pipeline = None
         elif config.backend == "vectorized" and cds_fn is None:
+            from repro.core.vectorized import VectorizedCDSPipeline
+
             self.pipeline = VectorizedCDSPipeline(
                 self.scheme,
                 fixed_point=config.fixed_point,
@@ -103,6 +102,9 @@ class LifespanSimulator:
                 memory_budget_mb=config.memory_budget_mb,
             )
         elif config.backend == "sparse" and cds_fn is None:
+            from repro.core.sparse import SparseCDSPipeline
+            from repro.core.sparse_delta import IncrementalSparseCDSPipeline
+
             sparse_cls = (
                 IncrementalSparseCDSPipeline
                 if config.effective_incremental

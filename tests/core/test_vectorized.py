@@ -19,6 +19,7 @@ from repro.core.priority import SCHEMES
 from repro.core.rule_k import compute_cds_rule_k
 from repro.core.vectorized import (
     BatchCDSEngine,
+    _peel,
     VectorizedCDSPipeline,
     compute_cds_batch,
     compute_cds_rule_k_batch,
@@ -199,6 +200,18 @@ class TestHelpers:
             want = {(a, b) for b in range(c) for a in range(b)}
             assert got == want
             off += k
+
+    def test_peel_lists_set_bits_in_order(self):
+        rng = np.random.default_rng(0)
+        words = rng.integers(0, 2**63, 500, dtype=np.uint64)
+        words &= rng.integers(0, 2**63, 500, dtype=np.uint64)
+        words[::7] = 0
+        words[3] = np.uint64(1) << np.uint64(63)
+        k, p = _peel(words)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        want_k, want_p = np.nonzero(bits.reshape(-1, 64))
+        assert np.array_equal(k, want_k) and np.array_equal(p, want_p)
+        assert len(_peel(np.zeros(0, dtype=np.uint64))[0]) == 0
 
     def test_flags_to_masks_roundtrip(self):
         flags = np.zeros((2, 70), dtype=bool)

@@ -8,8 +8,10 @@ so the inputs here put degrees on both sides of 64 and 128: cliques,
 stars, cliques with a perfect matching removed (every node marked, Rule 2
 does the pruning), dense random graphs whose private leaves sit past
 bit 63 of their owners' masks (a kernel that ANDed only first words
-fails there), and a unit-disk field with one node joined to 1000
-others.  Every input runs on the dense engine and on the sparse big tier
+fails there), a wide row whose only covering pair sits past bit 63
+(a kernel that found a member's edge from its bit in the word alone,
+without the words before it, filters that pair out), and a unit-disk
+field with one node joined to 1000 others.  Every input runs on the dense engine and on the sparse big tier
 (``dense_cutoff=2``) over both of its membership probes, under schemes
 id, nd, el1 and el2 with energy levels that tie at the key quantum, and
 the flags and :class:`PruneStats` must equal the scalar reference.
@@ -79,6 +81,38 @@ def dense_with_leaves(n: int, leaves: int = 10, seed: int = 0) -> list[int]:
     return adj
 
 
+def lone_wide_pair(k: int, spare: bool = False) -> list[int]:
+    """A row of ``k + 3`` neighbours whose one covering pair sits past
+    bit 63.
+
+    ``v = k + 1`` sees ``a0..ak`` (ids ``0..k``), ``h = k + 2`` and
+    ``g = k + 3``.  Each of ``a1..ak`` sees only ``v`` and ``h``; ``h``
+    sees every neighbour of ``v`` but ``a0``; ``g`` sees ``v``, ``h``,
+    ``a0`` and a private node ``z = k + 4``.  So ``(h, g)`` is the only
+    pair that covers ``N(v)``, and ``M[v→h] = {a0, h}``.  With
+    ``spare``, a node ``y = k + 5`` seen by ``v`` and ``g`` alone adds
+    a member of ``M[v→h]`` in ``h``'s own word.  Under id, Rule 2
+    removes ``v`` only if the witness filter keeps ``(h, g)``.
+    """
+    v, h, g, z = k + 1, k + 2, k + 3, k + 4
+    adj = [0] * (k + 5 + spare)
+
+    def edge(a: int, b: int) -> None:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+
+    for a in range(k + 1):
+        edge(v, a)
+        if a:
+            edge(h, a)
+    for a, b in ((v, h), (v, g), (h, g), (g, 0), (g, z)):
+        edge(a, b)
+    if spare:
+        edge(v, k + 5)
+        edge(g, k + 5)
+    return adj
+
+
 def hub_field(n: int = 3000, hub_deg: int = 1000, seed: int = 3) -> list[int]:
     """Uniform constant-density field (radius 25) whose node 0 is also
     joined to ``hub_deg`` random others: one row about 16 words wide."""
@@ -109,6 +143,13 @@ INPUTS = {
     **{
         f"G{n}-leaves": (lambda n=n: dense_with_leaves(n))
         for n in (100, 150)  # degrees ~90 and ~135: widths 2 and 3
+    },
+    **{
+        f"lone-pair{k}{'-spare' if spare else ''}": (
+            lambda k=k, spare=spare: lone_wide_pair(k, spare)
+        )
+        for k in (64, 130)  # degrees 67 and 133: widths 2 and 3
+        for spare in (False, True)
     },
     "hub-field": hub_field,
 }
