@@ -16,7 +16,11 @@ holds *local* destination ids sorted ascending within each row — exactly
 the ``(eS, eD)`` order the dense edge table produces, so the reverse-edge
 sort trick and the sorted-key membership probe both carry over.
 
-Execution is two-tier, decided per connected component:
+Execution is two-tier, decided per connected component.  The components
+come from the CSR's ``labels`` when it carries them (a network's cached
+:meth:`~repro.graphs.adhoc.AdHocNetwork.component_labels`, free on a
+connected network), else from one :func:`connected_labels` pass, and a
+single big component skips the regrouping.  The tiers:
 
 * **tiny** (≤ 2 nodes): nothing can be marked — skipped outright;
 * **small** (3 ≤ size ≤ ``dense_cutoff``): components are grouped by size
@@ -96,6 +100,7 @@ from repro.errors import ConfigurationError
 from repro.graphs.unitdisk import (
     _indptr,
     _word_rows,
+    connected_labels,
     topology_row_diff,
     unit_disk_topology,
 )
@@ -125,12 +130,25 @@ class CSRBatch:
     ``indptr`` is ``(B·n + 1,)`` int64; ``dst`` holds local destination
     node ids, ascending within each flat row ``b·n + v`` — the global
     ``(source, destination)`` sort order every kernel relies on.
+    ``labels``, when known, are the per-flat-row component labels as
+    :func:`connected_labels` defines them (the minimum flat id of each
+    component), e.g. a network's
+    :meth:`~repro.graphs.adhoc.AdHocNetwork.component_labels` for a CSR
+    that wraps its topology; without them the engine labels the CSR.
     """
 
     indptr: np.ndarray
     dst: np.ndarray
     B: int
     n: int
+    labels: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.labels is not None and len(self.labels) != self.B * self.n:
+            raise ConfigurationError(
+                f"{len(self.labels)} component labels for "
+                f"{self.B * self.n} flat rows"
+            )
 
     @property
     def nnz(self) -> int:
@@ -190,35 +208,6 @@ class CSRBatch:
             positions, radius, chunk_words(memory_budget_mb)
         )
         return cls(indptr, dst, 1, len(indptr) - 1)
-
-
-def connected_labels(indptr: np.ndarray, dst_flat: np.ndarray) -> np.ndarray:
-    """Per-flat-row component labels (the min flat id of each component).
-
-    Min-label propagation with full pointer-jumping compression between
-    hooking rounds — O(log diameter) numpy passes, no Python per-node
-    loop.  ``dst_flat`` holds *flat* destination rows aligned with the
-    CSR ``indptr`` segments; isolated rows keep their own label.
-    """
-    R = len(indptr) - 1
-    labels = np.arange(R, dtype=np.int64)
-    deg = np.diff(indptr)
-    nonempty = np.flatnonzero(deg > 0)
-    if len(nonempty) == 0:
-        return labels
-    starts = indptr[nonempty]
-    while True:
-        nmin = np.minimum.reduceat(labels[dst_flat], starts)
-        hooked = np.minimum(labels[nonempty], nmin)
-        if np.array_equal(hooked, labels[nonempty]):
-            break
-        labels[nonempty] = hooked
-        while True:
-            nxt = labels[labels]
-            if np.array_equal(nxt, labels):
-                break
-            labels = nxt
-    return labels
 
 
 def _key_probe(keys: np.ndarray, n: int) -> _Probe:
@@ -318,9 +307,6 @@ class SparseCDSEngine:
         comps: np.ndarray,
         sizes: np.ndarray,
         comp_of: np.ndarray,
-        comp_starts: np.ndarray,
-        order_nodes: np.ndarray,
-        local_of: np.ndarray,
         eS: np.ndarray,
         eDf: np.ndarray,
         energy_flat: np.ndarray | None,
@@ -336,7 +322,15 @@ class SparseCDSEngine:
         keeps its relative order and the dense result transplants back
         bit-identically.
         """
+        R = len(comp_of)
         C = len(sizes)
+        # nodes grouped by component, ascending flat id within each
+        order_nodes = np.argsort(comp_of, kind="stable")
+        comp_starts = np.cumsum(sizes) - sizes
+        local_of = np.empty(R, dtype=np.int64)
+        local_of[order_nodes] = (
+            np.arange(R, dtype=np.int64) - comp_starts[comp_of[order_nodes]]
+        )
         slot = np.full(C, -1, dtype=np.int64)
         budget_bytes = max(1 << 20, int(self.memory_budget_mb * (1 << 20)))
         for nc in np.unique(sizes[comps]):
@@ -437,6 +431,11 @@ class SparseCDSEngine:
         IncrementalSparseCDSPipeline` recompute a dirty subset of
         components and splice cached stats for the rest.  Requires a
         non-degenerate batch (``B ≥ 1`` and ``n ≥ 1``).
+
+        The components come from ``csr.labels`` when the CSR carries
+        them, else from one :func:`connected_labels` pass.  One component
+        bigger than ``dense_cutoff`` (labels all 0) skips the regrouping
+        and runs the kernels on the CSR's own edge arrays.
         """
         B, n = csr.B, csr.n
         if B * n * n >= 1 << 62:
@@ -444,23 +443,26 @@ class SparseCDSEngine:
                 f"edge keys for B={B}, n={n} overflow int64; split the batch"
             )
         R = B * n
-        indptr, dst = csr.indptr, csr.dst
+        indptr, dst, labels = csr.indptr, csr.dst, csr.labels
         deg = np.diff(indptr)
         eS = np.repeat(np.arange(R, dtype=np.int64), deg)
-        eDf = eS - eS % n + dst
+        # flat destination rows: a single element's are its local ids
+        eDf = dst if B == 1 else eS - eS % n + dst
 
         with obs.span("cds_sparse"):
-            labels = connected_labels(indptr, eDf)
-            roots, comp_of = np.unique(labels, return_inverse=True)
-            sizes = np.bincount(comp_of)
+            reused = labels is not None
+            with obs.span("components"):
+                if not reused:
+                    labels = connected_labels(indptr, eDf)
+                if R > self.dense_cutoff and not labels.any():
+                    # one big component: no regrouping
+                    roots = np.zeros(1, dtype=np.int64)
+                    comp_of = np.zeros(R, dtype=np.int64)
+                    sizes = np.array([R], dtype=np.int64)
+                else:
+                    roots, comp_of = np.unique(labels, return_inverse=True)
+                    sizes = np.bincount(comp_of)
             C = len(roots)
-            # nodes grouped by component, ascending flat id within each
-            order_nodes = np.argsort(comp_of, kind="stable")
-            comp_starts = np.cumsum(sizes) - sizes
-            local_of = np.empty(R, dtype=np.int64)
-            local_of[order_nodes] = (
-                np.arange(R, dtype=np.int64) - comp_starts[comp_of[order_nodes]]
-            )
 
             energy_flat = None
             if energy is not None:
@@ -478,6 +480,9 @@ class SparseCDSEngine:
 
             if obs.enabled():
                 obs.count("scds.batches")
+                obs.count(
+                    "scds.labels_reused" if reused else "scds.labels_computed"
+                )
                 obs.add("scds.elements", B)
                 obs.add("scds.components", C)
                 obs.add("scds.edges", len(eS))
@@ -491,8 +496,7 @@ class SparseCDSEngine:
 
             if len(small_ids):
                 self._run_dense_groups(
-                    small_ids, sizes, comp_of, comp_starts, order_nodes,
-                    local_of, eS, eDf, energy_flat, flags,
+                    small_ids, sizes, comp_of, eS, eDf, energy_flat, flags,
                     initial_c, rem1_c, rem2_c, rounds_c,
                 )
 
@@ -524,15 +528,20 @@ class SparseCDSEngine:
         the budget and the edge-key search otherwise; the round loop
         treats each component as a group (rounds count while it is
         active, it freezes once stable or at ``max_rounds``), so the
-        aggregate stats match the reference loop.
+        aggregate stats match the reference loop.  When every component
+        is big the kernels read the edge arrays as given (none of the
+        kernels writes to its inputs).
         """
         C = len(initial_c)
         dense = self._dense
         with obs.span("edge_table"):
-            bignode = big[comp_of]
-            besel = bignode[eS]
-            beS, beDf, beD = eS[besel], eDf[besel], dst[besel]
-            bdeg = np.where(bignode, deg, 0)
+            if big.all():
+                beS, beDf, beD, bdeg = eS, eDf, dst, deg
+            else:
+                bignode = big[comp_of]
+                besel = bignode[eS]
+                beS, beDf, beD = eS[besel], eDf[besel], dst[besel]
+                bdeg = np.where(bignode, deg, 0)
             boff = np.cumsum(bdeg) - bdeg
         with obs.span("edge_miss"):
             # globally sorted: (src, dst) ascending
@@ -664,8 +673,9 @@ class SparseCDSPipeline:
         """The sparse equivalent of :func:`compute_cds` (one element).
 
         A graph with a ``topology`` edge list (an ``AdHocNetwork``) is
-        wrapped as the CSR directly; its bitmask rows are read only for
-        ``verify`` / ``shadow_check``.
+        wrapped as the CSR directly, with the network's cached component
+        labels; its bitmask rows are read only for ``verify`` /
+        ``shadow_check``.
         """
         topo = getattr(graph, "topology", None)
         adj_src = None
@@ -695,7 +705,7 @@ class SparseCDSPipeline:
         adj = None if topo is not None else list(adj_src)
         with obs.span("cds"):
             if topo is not None:
-                csr = CSRBatch(*topo, 1, n)
+                csr = CSRBatch(*topo, 1, n, graph.component_labels())
             else:
                 csr = CSRBatch.from_adjacency(
                     [adj], memory_budget_mb=self.engine.memory_budget_mb

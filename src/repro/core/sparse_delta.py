@@ -28,8 +28,12 @@ intervals and recomputes only what a change can reach:
    under the *new* adjacency too — it is recomputed wholesale as one
    sub-CSR through :meth:`SparseCDSEngine.run_detailed`, which also
    relabels it (splits and merges fall out of the engine's own
-   ``connected_labels`` pass).  Untouched components keep their cached
-   flags and per-component :class:`PruneStats` verbatim.  This is the
+   ``connected_labels`` pass).  When the dirt covers every row the CSR
+   is the network's own topology, so the network's cached labels
+   (:meth:`AdHocNetwork.component_labels`) go in instead: on a connected
+   network, the one component mobility already proved.  Untouched
+   components keep their cached flags and per-component
+   :class:`PruneStats` verbatim.  This is the
    component-granular analogue of :class:`repro.core.delta.
    DeltaCDSPipeline`'s 2-hop dirty set: on CSR, marking/Rule-1/Rule-2 are
    already evaluated per component, so the component is the natural
@@ -39,8 +43,10 @@ intervals and recomputes only what a change can reach:
    structure.  Rules compare nodes only *within* a component and every
    scheme's key is a strict total order (id tiebreak), so a clean
    component's result depends only on the relative key order of its
-   members: the pipeline lexsorts ``(label, key)`` and re-marks exactly
-   the components whose member permutation changed.  This check is taken
+   members: the pipeline lexsorts ``(label, key)`` under the previous
+   and the current levels and re-marks exactly the components whose
+   member permutation changed; with no clean component it sorts
+   nothing.  This check is taken
    for the registry schemes (``nr``/``id``/``nd`` never re-key clean
    components — degrees only change inside structurally dirty ones;
    ``el1``/``el2`` compare quantized-energy orders); a non-registry
@@ -64,6 +70,7 @@ dense index spaces.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -157,21 +164,20 @@ class IncrementalSparseCDSPipeline:
         self._flags: np.ndarray | None = None
         self._stats: dict[int, tuple[int, int, int, int]] = {}
         self._ekey: bytes | None = None
-        self._key_seq: np.ndarray | None = None
-        self._key_labs: np.ndarray | None = None
-        self._key_starts: np.ndarray | None = None
-        self._key_sizes: np.ndarray | None = None
         self._prev_result: CDSResult | None = None
 
     # -- fingerprints and key order ----------------------------------------
 
     def _energy_fingerprint(self, energy_arr: np.ndarray | None):
+        """The quantized levels as bytes: what the keys compare, and (read
+        back by :meth:`_key_order`) the previous interval's levels."""
         if energy_arr is None:
             return None
         return self.scheme.quantized_levels(energy_arr).tobytes()
 
-    def _key_order(self, energy_arr: np.ndarray) -> np.ndarray:
-        """Node ids grouped by component label, key-ascending within.
+    def _key_order(self, ekey: bytes) -> np.ndarray:
+        """Node ids grouped by component label, key-ascending within, for
+        the quantized levels fingerprinted as ``ekey``.
 
         Valid only for the registry EL schemes (the callers gate on
         that): the scheme's key columns with the label as the primary
@@ -181,33 +187,19 @@ class IncrementalSparseCDSPipeline:
         cols = sch.key_columns(
             np.arange(self._n, dtype=np.int64),
             np.diff(self._csr.indptr),
-            sch.quantized_levels(energy_arr),
+            np.frombuffer(ekey, dtype=np.float64),
         )
         return np.lexsort(cols + (self._label,))
 
-    def _refresh_key_cache(self, energy_arr: np.ndarray | None) -> None:
-        """Cache the per-component key order for next interval's diff."""
-        trusted = SCHEMES.get(self.scheme.name) is self.scheme
-        if not (trusted and self.scheme.needs_energy) or energy_arr is None:
-            self._key_seq = None
-            self._key_labs = None
-            self._key_starts = None
-            self._key_sizes = None
-            return
-        order = self._key_order(energy_arr)
-        labs, starts = np.unique(self._label[order], return_index=True)
-        self._key_seq = order
-        self._key_labs = labs
-        self._key_starts = starts
-        self._key_sizes = np.diff(np.append(starts, self._n))
+    def _key_dirty_labels(self, ekey, struct_labels: np.ndarray) -> np.ndarray:
+        """Labels of structurally-clean components whose key order moved.
 
-    def _key_dirty_labels(
-        self,
-        energy_arr: np.ndarray | None,
-        ekey,
-        struct_labels: np.ndarray,
-    ) -> np.ndarray:
-        """Labels of structurally-clean components whose key order moved."""
+        Both orders are sorted now, under the current labels and degrees,
+        from the previous and the current levels.  That is exact for the
+        clean components: their members kept their degrees, and each
+        component occupies the same run of both orders.  With no clean
+        component there is nothing to sort.
+        """
         sch = self.scheme
         trusted = SCHEMES.get(sch.name) is sch
         if trusted and not sch.needs_energy:
@@ -216,36 +208,15 @@ class IncrementalSparseCDSPipeline:
             return _EMPTY
         if ekey == self._ekey:
             return _EMPTY
-        all_labs = np.unique(self._label)
-        clean = np.setdiff1d(all_labs, struct_labels)
-        if not trusted or self._key_seq is None:
-            # unknown key function: any energy change may reorder any
-            # component — recompute them all (correct, no reuse)
+        clean = np.setdiff1d(np.unique(self._label), struct_labels)
+        if not trusted or self._ekey is None or clean.size == 0:
+            # unknown key function (or no previous levels): any energy
+            # change may reorder any component — recompute them all
+            # (correct, no reuse); no clean component: nothing to sort
             return clean
-        order = self._key_order(energy_arr)
-        labs, starts = np.unique(self._label[order], return_index=True)
-        sizes = np.diff(np.append(starts, self._n))
-        ni = np.searchsorted(labs, clean)
-        oi = np.searchsorted(self._key_labs, clean)
-        oi_c = np.minimum(oi, len(self._key_labs) - 1)
-        known = (self._key_labs[oi_c] == clean) & (
-            self._key_sizes[oi_c] == sizes[ni]
-        )
-        dirty = [clean[~known]]
-        check = np.flatnonzero(known)
-        if len(check):
-            csz = sizes[ni[check]]
-            total = int(csz.sum())
-            first = np.cumsum(csz) - csz
-            owner = np.repeat(np.arange(len(check), dtype=np.int64), csz)
-            within = np.arange(total, dtype=np.int64) - first[owner]
-            new_members = order[starts[ni[check]][owner] + within]
-            old_members = self._key_seq[
-                self._key_starts[oi[check]][owner] + within
-            ]
-            moved = new_members != old_members
-            dirty.append(clean[check[np.unique(owner[moved])]])
-        return np.concatenate(dirty)
+        old, new = self._key_order(self._ekey), self._key_order(ekey)
+        moved = np.unique(self._label[new[old != new]])
+        return np.intersect1d(clean, moved, assume_unique=True)
 
     # -- driver --------------------------------------------------------------
 
@@ -311,7 +282,9 @@ class IncrementalSparseCDSPipeline:
         self._mode = mode
         self._n = n
         self._csr = csr
-        detail = self.engine.run_detailed(csr, energy_arr)
+        detail = self.engine.run_detailed(
+            self._with_network_labels(csr, graph), energy_arr
+        )
         self._flags = detail.flags
         self._label = detail.roots[detail.comp_of]
         self._stats = {
@@ -325,7 +298,8 @@ class IncrementalSparseCDSPipeline:
         }
         if obs.enabled():
             obs.count("sdelta.cold_starts")
-        return self._finish(graph, energy_arr)
+        ekey = self._energy_fingerprint(energy_arr)
+        return self._finish(graph, energy_arr, ekey)
 
     def _warm_step(self, graph, topo, rows_src, energy_arr) -> CDSResult:
         n = self._n
@@ -349,7 +323,7 @@ class IncrementalSparseCDSPipeline:
         struct_labels = (
             np.unique(self._label[changed]) if changed.size else _EMPTY
         )
-        key_dirty = self._key_dirty_labels(energy_arr, ekey, struct_labels)
+        key_dirty = self._key_dirty_labels(ekey, struct_labels)
         if changed.size == 0 and key_dirty.size == 0:
             # both fingerprints clean: the previous result is exact
             if obs.enabled():
@@ -362,6 +336,8 @@ class IncrementalSparseCDSPipeline:
         nodes = np.flatnonzero(np.isin(self._label, dirty_labels))
         sub = sub_csr(self._csr, nodes)
         sub_energy = energy_arr[nodes] if energy_arr is not None else None
+        if sub is self._csr:  # every row is dirty
+            sub = self._with_network_labels(sub, graph)
         detail = self.engine.run_detailed(sub, sub_energy)
         self._flags[nodes] = detail.flags
         self._label[nodes] = nodes[detail.roots[detail.comp_of]]
@@ -379,9 +355,17 @@ class IncrementalSparseCDSPipeline:
             obs.add("sdelta.changed_rows", int(changed.size))
             obs.add("sdelta.dirty_nodes", int(len(nodes)))
             obs.add("sdelta.reused_nodes", int(self._n - len(nodes)))
-        return self._finish(graph, energy_arr)
+        return self._finish(graph, energy_arr, ekey)
 
-    def _finish(self, graph, energy_arr) -> CDSResult:
+    def _with_network_labels(self, csr: CSRBatch, graph) -> CSRBatch:
+        """The whole CSR with the network's cached component labels when
+        it is the network's own topology; adjacency inputs go as they are
+        (the engine labels them)."""
+        if self._mode == "topo":
+            return replace(csr, labels=graph.component_labels())
+        return csr
+
+    def _finish(self, graph, energy_arr, ekey) -> CDSResult:
         sch = self.scheme
         initial = rem1 = rem2 = rounds = 0
         for si, s1, s2, sr in self._stats.values():
@@ -398,8 +382,7 @@ class IncrementalSparseCDSPipeline:
             n=self._n,
             stats=PruneStats(initial, rem1, rem2, rounds),
         )
-        self._ekey = self._energy_fingerprint(energy_arr)
-        self._refresh_key_cache(energy_arr)
+        self._ekey = ekey
         self._prev_result = result
         if self.verify or self.shadow_check:
             adj = self._adjacency_rows(graph)

@@ -18,7 +18,7 @@ from repro.energy.battery import BatteryBank
 from repro.energy.models import DrainModel
 from repro.errors import EnergyError
 
-__all__ = ["IntervalDrainRecord", "EnergyAccountant"]
+__all__ = ["IntervalDrainRecord", "EnergyAccountant", "gateway_flags"]
 
 #: The paper's d': unit drain for non-gateway hosts, network-size independent.
 NON_GATEWAY_DRAIN = 1.0
@@ -34,6 +34,15 @@ class IntervalDrainRecord:
     non_gateway_drain: float
     min_level_after: float
     died: tuple[int, ...]
+
+
+def gateway_flags(mask: int, n: int) -> np.ndarray:
+    """``(n,)`` bools of a bitmask over ``n`` hosts: one
+    ``np.unpackbits`` over its little-endian bytes, no per-bit loop."""
+    if mask < 0 or mask >> n:
+        raise EnergyError(f"gateway mask has bits outside {n} hosts")
+    raw = np.frombuffer(mask.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
 class EnergyAccountant:
@@ -74,12 +83,7 @@ class EnergyAccountant:
         ``d'`` only — there is no backbone to work.
         """
         n = self.bank.n
-        is_gw = np.zeros(n, dtype=bool)
-        m = gateway_mask
-        while m:
-            low = m & -m
-            is_gw[low.bit_length() - 1] = True
-            m ^= low
+        is_gw = gateway_flags(gateway_mask, n)
         n_gw = int(is_gw.sum())
 
         before_dead = set(self.bank.dead_hosts())

@@ -32,6 +32,13 @@ walks it, and :attr:`adjacency` derives the int rows only when read,
 counting each build in the obs counter ``graphs.int_rows_built``.  A
 changed edge list is a new pair of arrays, never an in-place edit, so a
 consumer may keep the pair it last read and diff it against the next.
+
+Connectivity is a fact of the topology: :meth:`component_labels` caches
+the component labels on the identity of the current :attr:`topology`
+pair, and a passing :meth:`is_connected` records "one component" there,
+so the sparse pipelines read the labels mobility already proved instead
+of labelling every interval again.  Every change replaces the pair, which
+drops the cache with it.
 """
 
 from __future__ import annotations
@@ -43,12 +50,14 @@ from repro.errors import TopologyError
 from repro.graphs import bitset
 from repro.graphs.neighborhoods import NeighborhoodView, is_connected
 from repro.graphs.unitdisk import (
+    connected_labels,
     patch_topology,
     row_ints,
     topology_is_connected,
     topology_rows,
     unit_disk_adjacency,
     unit_disk_topology,
+    within_radius,
 )
 
 __all__ = ["AdHocNetwork"]
@@ -87,6 +96,8 @@ class AdHocNetwork:
         self._side = float(side)
         self._adj: list[int] | None = None
         self._topo: tuple[np.ndarray, np.ndarray] | None = None
+        # (topology pair, its labels or None for "one component")
+        self._comp: tuple[tuple, np.ndarray | None] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -217,9 +228,7 @@ class AdHocNetwork:
         """Mover rows via one (k, n) distance block — wins for small n,
         where per-mover grid bookkeeping costs more than brute force."""
         pos = self._pos
-        diff = pos[None, :, :] - pos[moved, None, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        within = d2 <= self._radius * self._radius
+        within = within_radius(pos[moved], pos, self._radius)
         rows = row_ints(np.packbits(within, axis=1, bitorder="little"))
         return [(v, row & ~(1 << v)) for v, row in zip(moved_ids, rows)]
 
@@ -243,9 +252,38 @@ class AdHocNetwork:
         return bool(self.adjacency[u] >> v & 1)
 
     def is_connected(self) -> bool:
+        """Whether the hosts form one component; a pass is recorded for
+        :meth:`component_labels` against the current topology pair (below
+        the cutoff only if that pair is already built)."""
         if self.keeps_edge_list:
-            return topology_is_connected(*self.topology)
-        return is_connected(self.adjacency)
+            topo = self.topology
+            ok = topology_is_connected(*topo)
+        else:
+            topo = self._topo
+            ok = is_connected(self.adjacency)
+        if ok and topo is not None:
+            self._comp = (topo, None)
+        return ok
+
+    def component_labels(self) -> np.ndarray:
+        """Read-only per-host component labels of :attr:`topology`: the
+        minimum host id of each component, as
+        :func:`repro.graphs.unitdisk.connected_labels` defines them.
+
+        Cached on the identity of the topology pair.  After a passing
+        :meth:`is_connected` they are all 0 without a labelling pass;
+        otherwise they are computed once per pair.
+        """
+        topo = self.topology
+        comp = self._comp
+        if comp is None or comp[0] is not topo or comp[1] is None:
+            if comp is not None and comp[0] is topo:  # is_connected passed
+                labels = np.zeros(self.n, dtype=np.int64)
+            else:
+                labels = connected_labels(*topo)
+            labels.flags.writeable = False
+            self._comp = comp = (topo, labels)
+        return comp[1]
 
     def snapshot(self) -> NeighborhoodView:
         """Immutable adjacency snapshot for the CDS pipeline."""

@@ -17,9 +17,9 @@ A *topology* is the sorted directed edge list ``(indptr, dst)``: row
 ``v``'s neighbours are ``dst[indptr[v]:indptr[v + 1]]``, ascending —
 ``O(E)`` memory where bitmask rows cost ``n²/8`` bytes.
 :func:`unit_disk_topology` builds it, :func:`patch_topology` updates it
-after moves, :func:`topology_is_connected` and
-:func:`topology_row_diff` query it, and :func:`topology_rows` turns it
-into bitmask rows.  ``AdHocNetwork`` keeps its state in this form above
+after moves, :func:`topology_is_connected`, :func:`connected_labels`
+and :func:`topology_row_diff` query it, and :func:`topology_rows` turns
+it into bitmask rows.  ``AdHocNetwork`` keeps its state in this form above
 the size cutoff, and the sparse CSR (``repro.core.sparse.CSRBatch``)
 wraps the same two arrays.  Packed rows are ``max(1, ceil(n / 64))``
 little-endian ``uint64`` words, padding bits zero; :func:`edge_table`
@@ -42,9 +42,11 @@ __all__ = [
     "unit_disk_topology",
     "patch_topology",
     "topology_is_connected",
+    "connected_labels",
     "topology_row_diff",
     "topology_rows",
     "row_ints",
+    "within_radius",
     "edge_table",
     "popcount_rows",
     "pair_index_arrays",
@@ -96,12 +98,23 @@ def unit_disk_adjacency_dense(positions: np.ndarray, radius: float) -> list[int]
     n = len(pos)
     if n == 0:
         return []
-    # Squared distances avoid n^2 sqrt calls.
-    diff = pos[:, None, :] - pos[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    within = d2 <= radius * radius
+    # Squared distances avoid n^2 sqrt calls; per-axis (n, n) blocks,
+    # the arithmetic of unit_disk_edge_lists (no (n, n, 2) temporary)
+    within = within_radius(pos, pos, radius)
     np.fill_diagonal(within, False)
     return row_ints(np.packbits(within, axis=1, bitorder="little"))
+
+
+def within_radius(a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+    """``(len(a), len(b))`` bools: ``|a[i] - b[j]|² ≤ radius²``, computed
+    ``dx·dx + dy·dy`` in float64 exactly as :func:`unit_disk_edge_lists`
+    does, so every builder agrees on pairs at distance exactly ``radius``."""
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx <= radius * radius
 
 
 def row_ints(rows: np.ndarray) -> list[int]:
@@ -209,6 +222,38 @@ def topology_is_connected(indptr: np.ndarray, dst: np.ndarray) -> bool:
         seen[front] = True
         reached += len(front)
     return reached == n
+
+
+def connected_labels(indptr: np.ndarray, dst_flat: np.ndarray) -> np.ndarray:
+    """Per-flat-row component labels (the min flat id of each component).
+
+    Min-label propagation with full pointer-jumping compression between
+    hooking rounds — O(log diameter) numpy passes, no Python per-node
+    loop.  ``dst_flat`` holds *flat* destination rows aligned with the
+    CSR ``indptr`` segments (a single topology's ``dst`` as is); isolated
+    rows keep their own label.  A connected topology is labelled all 0,
+    so :meth:`repro.graphs.adhoc.AdHocNetwork.component_labels` answers
+    that case from a passing :func:`topology_is_connected` instead.
+    """
+    R = len(indptr) - 1
+    labels = np.arange(R, dtype=np.int64)
+    deg = np.diff(indptr)
+    nonempty = np.flatnonzero(deg > 0)
+    if len(nonempty) == 0:
+        return labels
+    starts = indptr[nonempty]
+    while True:
+        nmin = np.minimum.reduceat(labels[dst_flat], starts)
+        hooked = np.minimum(labels[nonempty], nmin)
+        if np.array_equal(hooked, labels[nonempty]):
+            break
+        labels[nonempty] = hooked
+        while True:
+            nxt = labels[labels]
+            if np.array_equal(nxt, labels):
+                break
+            labels = nxt
+    return labels
 
 
 def topology_row_diff(

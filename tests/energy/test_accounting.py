@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.energy.accounting import EnergyAccountant
+from repro.energy.accounting import EnergyAccountant, gateway_flags
 from repro.energy.battery import BatteryBank
 from repro.energy.models import FixedDrain, LinearDrain
 from repro.errors import EnergyError
@@ -70,3 +71,41 @@ class TestApply:
         acct = EnergyAccountant(bank, FixedDrain(d=1.0))
         rec = acct.apply(bitset.mask_from_ids({0}))
         assert rec.min_level_after == pytest.approx(1.0)
+
+
+def _loop_flags(mask: int, n: int) -> np.ndarray:
+    """The per-bit decode ``gateway_flags`` replaces."""
+    out = np.zeros(n, dtype=bool)
+    while mask:
+        low = mask & -mask
+        out[low.bit_length() - 1] = True
+        mask ^= low
+    return out
+
+
+class TestGatewayFlags:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 10_000])
+    def test_equals_the_bit_loop(self, n):
+        rng = np.random.default_rng(n)
+        random = bitset.mask_from_ids(
+            np.flatnonzero(rng.random(n) < 0.3).tolist()
+        )
+        for mask in (0, (1 << n) - 1, random, 1 << max(0, n - 1) if n else 0):
+            got = gateway_flags(mask, n)
+            assert got.dtype == bool and got.shape == (n,)
+            np.testing.assert_array_equal(got, _loop_flags(mask, n))
+
+    @pytest.mark.parametrize("mask", [1 << 5, -1])
+    def test_bits_outside_the_hosts_raise(self, mask):
+        with pytest.raises(EnergyError):
+            gateway_flags(mask, 5)
+
+    def test_apply_counts_decoded_gateways(self):
+        n = 130
+        bank = BatteryBank(n, initial=10.0)
+        acct = EnergyAccountant(bank, FixedDrain(d=3.0))
+        ids = {0, 63, 64, 65, 129}
+        rec = acct.apply(bitset.mask_from_ids(ids))
+        assert rec.n_gateways == len(ids)
+        drained = np.flatnonzero(bank.levels == 7.0).tolist()
+        assert drained == sorted(ids)

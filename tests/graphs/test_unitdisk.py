@@ -104,3 +104,62 @@ class TestEdges:
             len(unit_disk_edges(pos, 20.0))
             == sum(bitset.popcount(m) for m in adj) // 2
         )
+
+
+class TestExactRadiusTies:
+    """Integer coordinates put many pairs at distance exactly ``r``
+    (3-4-5 triangles, axis steps of 5); ``d² ≤ r²`` must hold for them
+    in every builder: the dense rows, the grid rows and the mover rows
+    ``AdHocNetwork.apply_moves`` patches in below the edge-list cutoff."""
+
+    RADIUS = 5.0
+
+    @staticmethod
+    def oracle(pos: np.ndarray, radius: float) -> list[int]:
+        ip = pos.astype(np.int64)
+        d2 = ((ip[:, None, :] - ip[None, :, :]) ** 2).sum(axis=2)
+        within = d2 <= int(radius) ** 2
+        np.fill_diagonal(within, False)
+        return [bitset.mask_from_ids(np.flatnonzero(r).tolist()) for r in within]
+
+    def lattice(self) -> np.ndarray:
+        g = np.arange(0, 16, 2, dtype=np.float64)
+        g = np.concatenate([g, g + 3.0])  # 256 integer points
+        xy = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        return np.unique(xy, axis=0)
+
+    def test_builders_keep_pairs_at_exactly_r(self):
+        pos = self.lattice()
+        want = self.oracle(pos, self.RADIUS)
+        # the lattice has pairs at d = 5 exactly, and some just beyond
+        ties = sum(
+            1
+            for i in range(len(pos))
+            for j in range(i)
+            if ((pos[i] - pos[j]) ** 2).sum() == 25.0
+        )
+        assert ties > 0
+        assert unit_disk_adjacency_dense(pos, self.RADIUS) == want
+        assert unit_disk_adjacency_grid(pos, self.RADIUS) == want
+
+    def test_mover_rows_keep_pairs_at_exactly_r(self):
+        from repro.graphs.adhoc import AdHocNetwork
+
+        pos = self.lattice()
+        net = AdHocNetwork(pos, self.RADIUS, side=30.0)
+        assert net.n <= 512  # the bitmask-row patch
+        net.adjacency
+        moved = np.array([0, 7, 40])
+        net.positions[moved] += (3.0, 4.0)
+        net.apply_moves(moved)
+        assert net.adjacency == self.oracle(net.positions, self.RADIUS)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_per_axis_rows_equal_the_broadcast_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        pos = rng.random((150, 2)) * 60.0
+        diff = pos[:, None, :] - pos[None, :, :]
+        within = np.einsum("ijk,ijk->ij", diff, diff) <= 8.0 * 8.0
+        np.fill_diagonal(within, False)
+        want = [bitset.mask_from_ids(np.flatnonzero(r).tolist()) for r in within]
+        assert unit_disk_adjacency_dense(pos, 8.0) == want

@@ -2,7 +2,8 @@
 
 The dense engine (:class:`BatchCDSEngine`) and the sparse engine's big
 tier run one kernel set; both open the stage spans ``edge_table``,
-``edge_miss``, ``rule1``, ``rule2_triples`` and ``rule2_rounds``.  One
+``edge_miss``, ``rule1``, ``rule2_triples`` and ``rule2_rounds``, and the
+sparse engine a ``components`` span for its labelling.  One
 traced run must emit each of them a bounded number of times — the edge
 stages once per call, the rule stages at most once per Rule-1/Rule-2
 round — so tracing stays O(stages), and the Rule-2 counters must
@@ -54,6 +55,9 @@ def test_stage_spans_bounded_per_round(engine_kind, fixed_point):
     assert rounds >= (2 if fixed_point else 1)
     spans = reg.spans
     per_call = {"edge_table": 1, "edge_miss": 1}
+    if engine_kind == "sparse":  # the sparse engine labels its components
+        per_call["components"] = 1
+        assert spans["cds_sparse/components"].count == 1
     for stage in STAGES:
         got = spans[f"{root}/{stage}"].count
         if stage in per_call:
@@ -63,7 +67,8 @@ def test_stage_spans_bounded_per_round(engine_kind, fixed_point):
         else:
             assert got == rounds, stage
     traced = [ev for ev in reg.trace_events if ev["ev"] == "span"]
-    assert len(traced) <= 1 + 2 + 3 * rounds  # root + edge + rule stages
+    # root + per-call stages + rule stages
+    assert len(traced) <= 1 + len(per_call) + 3 * rounds
 
     # the kernel counts what the scalar engine counts
     with obs.capture() as scalar:
