@@ -32,14 +32,21 @@ single big component skips the regrouping.  The tiers:
   baseline decomposition);
 * **big** (> cutoff): the dense engine's own kernels
   (:meth:`BatchCDSEngine._edge_miss` … :meth:`BatchCDSEngine._prune`) run
-  over the big components' edges.  The membership probe ``x ∈ N(u)``,
+  over the big components' edges, with the nodes renumbered in a
+  breadth-first visit order so that the probe's reads stay in cache
+  (:meth:`BatchCDSEngine._run_visit_order`): the CSR's ``order`` (a
+  network's cached
+  :meth:`~repro.graphs.adhoc.AdHocNetwork.visit_order`) when it carries
+  one, else a search from the big components' minima.  The membership
+  probe ``x ∈ N(u)``,
   which only builds the per-edge miss masks, is chosen by its memory
   cost: packed ``(B·n, W)`` word rows (``B·n·W·8`` bytes, 12.5 MB at
   N = 10k) built from the edge arrays
   (:func:`repro.graphs.unitdisk._word_rows`) and read by
   the single-word gather (:func:`repro.core.vectorized._word_probe`)
   when they fit the budget, else a binary search of the sorted edge keys
-  ``eS·n + eD`` (:func:`_key_probe`), which costs only the edges.
+  ``eS·n + eD`` (:func:`repro.core.vectorized._key_probe`), which costs
+  only the edges.
 
 Equivalence contract
 --------------------
@@ -83,10 +90,9 @@ from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.core.vectorized import (
     BatchCDSEngine,
-    _Probe,
     _batch_inputs,
     _batch_results,
-    _scatter_any,
+    _key_probe,
     _word_probe,
     chunk_bits,
     chunk_words,
@@ -99,6 +105,7 @@ from repro.core.vectorized import (
 from repro.errors import ConfigurationError
 from repro.graphs.unitdisk import (
     _indptr,
+    _sources,
     _word_rows,
     connected_labels,
     topology_row_diff,
@@ -135,6 +142,11 @@ class CSRBatch:
     component), e.g. a network's
     :meth:`~repro.graphs.adhoc.AdHocNetwork.component_labels` for a CSR
     that wraps its topology; without them the engine labels the CSR.
+    ``order``, when known, is the visit order the big tier's kernels run
+    in: every flat row once, each element's rows within its own block of
+    ``n`` ids, e.g. a network's
+    :meth:`~repro.graphs.adhoc.AdHocNetwork.visit_order`; without it the
+    engine searches the big components from their minima.
     """
 
     indptr: np.ndarray
@@ -142,13 +154,16 @@ class CSRBatch:
     B: int
     n: int
     labels: np.ndarray | None = None
+    order: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.labels is not None and len(self.labels) != self.B * self.n:
-            raise ConfigurationError(
-                f"{len(self.labels)} component labels for "
-                f"{self.B * self.n} flat rows"
-            )
+        for name in ("labels", "order"):
+            got = getattr(self, name)
+            if got is not None and len(got) != self.B * self.n:
+                raise ConfigurationError(
+                    f"{len(got)} entries of {name} for "
+                    f"{self.B * self.n} flat rows"
+                )
 
     @property
     def nnz(self) -> int:
@@ -210,29 +225,6 @@ class CSRBatch:
         return cls(indptr, dst, 1, len(indptr) - 1)
 
 
-def _key_probe(keys: np.ndarray, n: int) -> _Probe:
-    """Membership probe over sorted edge keys.
-
-    ``keys`` is the sorted ``eS·n + eD`` array of the (sub)graph's edges,
-    so a query's scaled row plus its column is its key: ``member`` answers
-    ``uint64`` 1 when the key is one of them and 0 otherwise — a binary
-    search per query, the stand-in for the dense engine's word gather
-    (:func:`repro.core.vectorized._word_probe`).  ``searchsorted``
-    returning ``len(keys)`` means the query exceeds every key, so
-    clamping to the last slot compares unequal — no branch needed.
-    """
-
-    def member(base: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        if len(keys) == 0:
-            return np.zeros(len(base), dtype=np.uint64)
-        base += cols  # the query key
-        idx = np.searchsorted(keys, base)
-        np.minimum(idx, len(keys) - 1, out=idx)
-        return (keys[idx] == base).astype(np.uint64)
-
-    return _Probe(n, member)
-
-
 @dataclass(frozen=True)
 class SparseRunDetail:
     """Per-component results of one :meth:`SparseCDSEngine.run_detailed`.
@@ -290,6 +282,12 @@ class SparseCDSEngine:
             max_rounds=max_rounds,
             memory_budget_mb=self.memory_budget_mb,
         )
+
+    def may_run_kernels(self, R: int) -> bool:
+        """Whether a CSR of ``R`` flat rows can hold a component above
+        the dense cutoff, the only one that runs the shared kernels (and
+        so needs a visit order)."""
+        return R > self.dense_cutoff
 
     def word_rows_fit(self, B: int, n: int) -> bool:
         """Whether the big tier's packed word rows fit the memory budget.
@@ -435,7 +433,8 @@ class SparseCDSEngine:
         The components come from ``csr.labels`` when the CSR carries
         them, else from one :func:`connected_labels` pass.  One component
         bigger than ``dense_cutoff`` (labels all 0) skips the regrouping
-        and runs the kernels on the CSR's own edge arrays.
+        and hands the kernels the CSR's own degrees and destinations,
+        renumbered in ``csr.order`` (or a search from row 0).
         """
         B, n = csr.B, csr.n
         if B * n * n >= 1 << 62:
@@ -445,9 +444,12 @@ class SparseCDSEngine:
         R = B * n
         indptr, dst, labels = csr.indptr, csr.dst, csr.labels
         deg = np.diff(indptr)
-        eS = np.repeat(np.arange(R, dtype=np.int64), deg)
         # flat destination rows: a single element's are its local ids
-        eDf = dst if B == 1 else eS - eS % n + dst
+        eDf = dst
+        if B > 1:
+            eS = _sources(indptr)
+            eDf = eS - eS % n + dst
+            del eS
 
         with obs.span("cds_sparse"):
             reused = labels is not None
@@ -485,7 +487,7 @@ class SparseCDSEngine:
                 )
                 obs.add("scds.elements", B)
                 obs.add("scds.components", C)
-                obs.add("scds.edges", len(eS))
+                obs.add("scds.edges", len(dst))
                 obs.add("scds.dense_nodes", int(sizes[small].sum()))
                 big_nodes = int(sizes[big].sum())
                 obs.add("scds.csr_nodes", big_nodes)
@@ -496,13 +498,13 @@ class SparseCDSEngine:
 
             if len(small_ids):
                 self._run_dense_groups(
-                    small_ids, sizes, comp_of, eS, eDf, energy_flat, flags,
-                    initial_c, rem1_c, rem2_c, rounds_c,
+                    small_ids, sizes, comp_of, _sources(indptr), eDf,
+                    energy_flat, flags, initial_c, rem1_c, rem2_c, rounds_c,
                 )
 
             if big.any():
                 self._run_big(
-                    big, comp_of, deg, eS, eDf, dst,
+                    big, roots, comp_of, deg, eDf, csr.order,
                     energy_flat, B, n, flags,
                     initial_c, rem1_c, rem2_c, rounds_c,
                 )
@@ -518,57 +520,57 @@ class SparseCDSEngine:
             )
 
     def _run_big(
-        self, big, comp_of, deg, eS, eDf, dst,
+        self, big, roots, comp_of, deg, eDf, order,
         energy_flat, B, n, flags,
         initial_c, rem1_c, rem2_c, rounds_c,
     ) -> None:
         """Components above the dense cutoff, on the shared kernels.
 
-        The miss masks are built with the word gather when the rows fit
-        the budget and the edge-key search otherwise; the round loop
-        treats each component as a group (rounds count while it is
-        active, it freezes once stable or at ``max_rounds``), so the
-        aggregate stats match the reference loop.  When every component
-        is big the kernels read the edge arrays as given (none of the
-        kernels writes to its inputs).
+        The kernels run in visit order
+        (:meth:`BatchCDSEngine._run_visit_order`): the CSR's ``order``
+        when it carries one, else a search from the big components'
+        minima ``roots[big]``.  The miss masks are built with the word
+        gather when the rows fit the budget and the edge-key search
+        otherwise; the round loop treats each component as a group
+        (rounds count while it is active, it freezes once stable or at
+        ``max_rounds``), so the aggregate stats match the reference loop.
+        When every component is big the kernels read the CSR's degrees
+        and destinations as given (none of the kernels writes to its
+        inputs).
         """
         C = len(initial_c)
         dense = self._dense
         with obs.span("edge_table"):
             if big.all():
-                beS, beDf, beD, bdeg = eS, eDf, dst, deg
+                bdeg, bdst = deg, eDf
             else:
                 bignode = big[comp_of]
-                besel = bignode[eS]
-                beS, beDf, beD = eS[besel], eDf[besel], dst[besel]
+                bdst = eDf[np.repeat(bignode, deg)]
                 bdeg = np.where(bignode, deg, 0)
-            boff = np.cumsum(bdeg) - bdeg
-        with obs.span("edge_miss"):
-            # globally sorted: (src, dst) ascending
-            if self.word_rows_fit(B, n):
-                probe = _word_probe(_word_rows(beS, beD, B * n, n))
-            else:
-                probe = _key_probe(beS * n + beD, n)
-            miss = dense._edge_miss(probe, beD, boff, bdeg, beS, beDf)
-            del probe
+        rank = None
+        if self.scheme.uses_rules:
+            energy_arr = None
+            if energy_flat is not None:
+                energy_arr = energy_flat.reshape(B, n)
+            rank = dense._ranks(deg, energy_arr, B, n)
+        fit = self.word_rows_fit(B, n)
 
-        marked0 = _scatter_any(beS[miss.cnt >= 2], B * n)
+        def probe(eS, eD, keys):
+            if fit:
+                return _word_probe(_word_rows(eS, eD, B * n, n))
+            return _key_probe(keys, n)
+
+        # components are closed, so every reverse edge is itself big
+        marked0, pruned = dense._run_visit_order(
+            order, roots[big], bdeg, bdst, rank, comp_of, big, B, n, probe
+        )
         mcomps = comp_of[np.flatnonzero(marked0)]
         if len(mcomps):
             initial_c += np.bincount(mcomps, minlength=C)
-
-        if not self.scheme.uses_rules:
+        if pruned is None:
             flags |= marked0
             return
-
-        energy_arr = None
-        if energy_flat is not None:
-            energy_arr = energy_flat.reshape(B, n)
-        rank = dense._ranks(deg, energy_arr, B, n)
-        # components are closed, so every reverse edge is itself big
-        current, rounds, rem1, rem2 = dense._prune(
-            miss, beS, beDf, marked0, rank, comp_of, big
-        )
+        current, rounds, rem1, rem2 = pruned
         rounds_c += rounds
         rem1_c += rem1
         rem2_c += rem2
@@ -705,7 +707,10 @@ class SparseCDSPipeline:
         adj = None if topo is not None else list(adj_src)
         with obs.span("cds"):
             if topo is not None:
-                csr = CSRBatch(*topo, 1, n, graph.component_labels())
+                order = None
+                if self.engine.may_run_kernels(n):
+                    order = graph.visit_order()
+                csr = CSRBatch(*topo, 1, n, graph.component_labels(), order)
             else:
                 csr = CSRBatch.from_adjacency(
                     [adj], memory_budget_mb=self.engine.memory_budget_mb

@@ -358,11 +358,14 @@ class IncrementalSparseCDSPipeline:
         return self._finish(graph, energy_arr, ekey)
 
     def _with_network_labels(self, csr: CSRBatch, graph) -> CSRBatch:
-        """The whole CSR with the network's cached component labels when
-        it is the network's own topology; adjacency inputs go as they are
-        (the engine labels them)."""
+        """The whole CSR with the network's cached component labels and
+        visit order when it is the network's own topology; adjacency
+        inputs go as they are (the engine labels and orders them)."""
         if self._mode == "topo":
-            return replace(csr, labels=graph.component_labels())
+            order = None
+            if self.engine.may_run_kernels(self._n):
+                order = graph.visit_order()
+            return replace(csr, labels=graph.component_labels(), order=order)
         return csr
 
     def _finish(self, graph, energy_arr, ekey) -> CDSResult:

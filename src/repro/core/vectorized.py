@@ -73,6 +73,19 @@ kernels and the same round loop (:meth:`BatchCDSEngine._prune`), with
 connected components in place of batch elements as the groups that
 count rounds and freeze.
 
+Kernels in visit order
+----------------------
+On an edge list (a network's topology in :class:`VectorizedCDSPipeline`,
+the sparse big tier) the kernels run with the nodes renumbered in a
+breadth-first visit order and map the flags back afterwards
+(:meth:`BatchCDSEngine._run_visit_order`): a row's neighbours then get
+nearby ids, so the probe's gathers stay in cache instead of spanning the
+whole ``n × W`` row table.  Ranks are built from the input ids and
+permuted, so every tie-break, mask and count is unchanged except
+``rule2.pair_tests`` (the witness filter reads members in local bit
+order).  The packed-row path (:meth:`BatchCDSEngine.run`) keeps the
+input ids.
+
 Streamed in cache-sized blocks
 ------------------------------
 Every expansion (the miss-mask pass of :meth:`BatchCDSEngine._edge_miss`
@@ -103,8 +116,8 @@ from repro.errors import ConfigurationError
 from repro.graphs.unitdisk import (
     _U64_1,
     _U64_63,
-    _sources,
     _word_rows,
+    bfs_order,
     edge_table,
     pair_index_arrays,
     popcount_rows,
@@ -291,7 +304,7 @@ def _word_probe(rows_flat: np.ndarray) -> _Probe:
 
     The sparse engine's big tier uses it over rows it packs from its
     edges, or a sorted-edge-key probe when those rows would not fit the
-    memory budget (:func:`repro.core.sparse._key_probe`).
+    memory budget (:func:`_key_probe`).
     """
     W = rows_flat.shape[1]
     flat = rows_flat.reshape(-1)
@@ -304,6 +317,82 @@ def _word_probe(rows_flat: np.ndarray) -> _Probe:
         return words
 
     return _Probe(W, member)
+
+
+def _key_probe(keys: np.ndarray, n: int) -> _Probe:
+    """Membership probe over sorted edge keys.
+
+    ``keys`` is the sorted ``eS·n + eD`` array of the (sub)graph's edges,
+    so a query's scaled row plus its column is its key: ``member`` answers
+    ``uint64`` 1 when the key is one of them and 0 otherwise — a binary
+    search per query, the stand-in for the word gather
+    (:func:`_word_probe`) when the rows would not fit the budget.
+    ``searchsorted`` returning ``len(keys)`` means the query exceeds
+    every key, so clamping to the last slot compares unequal — no
+    branch needed.
+    """
+
+    def member(base: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        if len(keys) == 0:
+            return np.zeros(len(base), dtype=np.uint64)
+        base += cols  # the query key
+        idx = np.searchsorted(keys, base)
+        np.minimum(idx, len(keys) - 1, out=idx)
+        return (keys[idx] == base).astype(np.uint64)
+
+    return _Probe(n, member)
+
+
+def _visit_order(deg, fdst, roots, B: int, n: int) -> np.ndarray:
+    """A visit order for flat rows that come without one.
+
+    :func:`repro.graphs.unitdisk.bfs_order` over the CSR of ``deg`` and
+    the flat destinations ``fdst``, seeded with ``roots`` (one per
+    component), then the rows it never reached, ascending.  With
+    ``B > 1`` each element's rows are gathered into its own block of
+    ``n`` ids, each keeping its visit order, as :func:`_relabel` needs.
+    """
+    R = B * n
+    indptr = np.zeros(R + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    order = bfs_order(indptr, fdst, roots)
+    if len(order) < R:
+        left = np.ones(R, dtype=bool)
+        left[order] = False
+        order = np.concatenate([order, np.flatnonzero(left)])
+    if B > 1:
+        order = order[np.argsort(order // n, kind="stable")]
+    return order
+
+
+def _relabel(order, deg, fdst, B: int, n: int):
+    """Sorted edge arrays after renumbering flat row ``order[i]`` to ``i``.
+
+    ``deg`` counts each row's edges and ``fdst`` holds their flat
+    destinations in ascending ``(source, destination)`` order; ``order``
+    must map each element's rows into that element's own ids (any
+    permutation when ``B = 1``).  The new keys ``eS·n + eD`` are built
+    per edge and sorted in place, and the sources are never materialized
+    in the old ids.  Returns ``(inv, eS, eD, eDf, keys)``: the new id of
+    every old row, then the kernels' edge arrays under the new ids and
+    their sorted keys (which serve as the key probe).
+    """
+    R = B * n
+    inv = np.empty(R, dtype=np.int64)
+    inv[order] = np.arange(R, dtype=np.int64)
+    keys = inv[fdst]
+    if B > 1:
+        keys %= n  # local ids: every row stays in its element
+    src = np.repeat(inv, deg)
+    src *= n
+    keys += src
+    del src
+    keys.sort()
+    eS = keys // n
+    eD = eS * n
+    np.subtract(keys, eD, out=eD)
+    eDf = eD if B == 1 else eS - eS % n + eD
+    return inv, eS, eD, eDf, keys
 
 
 def _blocks(counts: np.ndarray, budget: int):
@@ -721,7 +810,7 @@ class BatchCDSEngine:
             obs.add("rule2.worklist_triples", scanned)
         return current
 
-    def _prune(self, miss, eS, eDf, marked, rank, group_of, active):
+    def _prune(self, miss, eS, eDf, marked, rank, group_of, active, keys=None):
         """Rule 1 + Rule 2 rounds until every group is frozen.
 
         A *group* is a batch element (dense engine) or a connected
@@ -735,6 +824,8 @@ class BatchCDSEngine:
         further rounds, and every group still active reaches
         ``max_rounds`` in the same round.  Returns ``(flags, rounds,
         removed_rule1, removed_rule2)``, the last three per group.
+        ``keys`` are the sorted edge keys ``eS·R + eDf`` when the caller
+        already holds them.
         """
         G = len(active)
         active = active.copy()
@@ -751,7 +842,8 @@ class BatchCDSEngine:
         # keys[k] = eS·R + eDf ascends with the edge id
         R = len(marked)
         rev = np.argsort(eDf * R + eS)
-        keys = eS * R + eDf
+        if keys is None:
+            keys = eS * R + eDf
         current = marked
         while active.any():
             rounds += active
@@ -816,29 +908,104 @@ class BatchCDSEngine:
 
         # marked iff some neighbor certifies: N(v) ⊄ N[u] ⟺ |miss| ≥ 2
         marked0 = _scatter_any(eS[miss.cnt >= 2], B * n)
-        initial_b = marked0.reshape(B, n).sum(axis=1)
-
-        if obs.enabled():
-            obs.count("vcds.batches")
-            obs.add("vcds.elements", B)
-            obs.add("vcds.nodes", B * n)
-            obs.add("vcds.edges", len(eS))
-            obs.add("vcds.marked", int(marked0.sum()))
-
         if not self.scheme.uses_rules:
-            stats = [PruneStats(int(initial_b[b]), 0, 0, 0) for b in range(B)]
-            return marked0.reshape(B, n), stats
-
-        energy_arr = None
-        if energy is not None:
-            energy_arr = np.asarray(energy, dtype=np.float64).reshape(B, n)
-        rank = self._ranks(deg_flat, energy_arr, B, n)
-        current, rounds_b, removed1_b, removed2_b = self._prune(
+            return self._element_results(marked0, None, len(eS), B, n)
+        rank = self._ranks(deg_flat, self._energy(energy, B, n), B, n)
+        pruned = self._prune(
             miss, eS, eDf, marked0, rank,
             np.repeat(np.arange(B, dtype=np.int64), n),
             np.ones(B, dtype=bool),
         )
+        return self._element_results(marked0, pruned, len(eS), B, n)
 
+    def _run_topology(self, indptr, dst, order, energy=None):
+        """:meth:`run` on one sorted edge list ``(indptr, dst)`` of ``n``
+        nodes (an :class:`repro.graphs.adhoc.AdHocNetwork`'s topology),
+        the kernels running in the visit order ``order``
+        (:meth:`_run_visit_order`) over word rows packed from it."""
+        n = len(indptr) - 1
+        deg = np.diff(indptr)
+        rank = None
+        if self.scheme.uses_rules:
+            rank = self._ranks(deg, self._energy(energy, 1, n), 1, n)
+        marked0, pruned = self._run_visit_order(
+            order, None, deg, dst, rank,
+            np.zeros(n, dtype=np.int64), np.ones(1, dtype=bool), 1, n,
+            lambda eS, eD, keys: _word_probe(_word_rows(eS, eD, n, n)),
+        )
+        return self._element_results(marked0, pruned, len(dst), 1, n)
+
+    @staticmethod
+    def _energy(energy, B: int, n: int) -> np.ndarray | None:
+        if energy is None:
+            return None
+        return np.asarray(energy, dtype=np.float64).reshape(B, n)
+
+    def _run_visit_order(
+        self, order, roots, deg, fdst, rank, group_of, active, B, n, probe,
+    ):
+        """Marking and pruning with the nodes renumbered in visit order.
+
+        Under ids in placement order a row's neighbours are scattered
+        over all ``n`` ids, so the membership probe gathers from the
+        whole row table; in a breadth-first visit order they sit within
+        a level or two of the row, and the probe's reads stay in cache
+        (DESIGN §6 "Cache-local node order").  ``deg`` and ``fdst`` are
+        the edges' per-row counts and flat destinations in ascending
+        ``(source, destination)`` order over ``R = B·n`` flat rows.
+        ``order`` lists every flat row in visit order, each element's
+        rows in its own block; when it is None one is computed from
+        ``roots``, one root per component that owns edges
+        (:func:`_visit_order`).  ``rank``
+        (None for schemes without rules), ``group_of`` and ``active``
+        are :meth:`_prune`'s, in the input ids: ranks built from the
+        input ids keep every id tie-break, and a permutation changes no
+        mask, count or round (only ``rule2.pair_tests``, whose witness
+        filter reads the lowest members in local bit order).
+        ``probe(eS, eD, keys)`` makes the membership probe from the
+        renumbered edges and their sorted keys.  Returns the initial
+        marks per flat row in the input ids and :meth:`_prune`'s result
+        ``(flags, rounds, removed_rule1, removed_rule2)`` with the flags
+        in the input ids (None without a rank).
+        """
+        with obs.span("relabel"):
+            if order is None:
+                order = _visit_order(deg, fdst, roots, B, n)
+                obs.count("kernels.order_computed")
+            inv, eS, eD, eDf, keys = _relabel(order, deg, fdst, B, n)
+            deg = deg[order]
+            group_of = group_of[order]
+            if rank is not None:
+                rank = rank[order]
+        eoff = np.cumsum(deg) - deg
+        with obs.span("edge_miss"):
+            miss = self._edge_miss(
+                probe(eS, eD, keys), eD, eoff, deg, eS, eDf
+            )
+        marked0 = _scatter_any(eS[miss.cnt >= 2], B * n)
+        if rank is None:
+            return marked0[inv], None
+        current, *per_group = self._prune(
+            miss, eS, eDf, marked0, rank, group_of, active,
+            keys if B == 1 else None,
+        )
+        return marked0[inv], (current[inv], *per_group)
+
+    def _element_results(self, marked0, pruned, edges, B, n):
+        """``(B, n)`` flags and one :class:`PruneStats` per element from
+        the initial marks per flat row and :meth:`_prune`'s result with
+        the elements as groups (None: a scheme without rules)."""
+        initial_b = marked0.reshape(B, n).sum(axis=1)
+        if obs.enabled():
+            obs.count("vcds.batches")
+            obs.add("vcds.elements", B)
+            obs.add("vcds.nodes", B * n)
+            obs.add("vcds.edges", edges)
+            obs.add("vcds.marked", int(marked0.sum()))
+        if pruned is None:
+            stats = [PruneStats(int(initial_b[b]), 0, 0, 0) for b in range(B)]
+            return marked0.reshape(B, n), stats
+        current, rounds_b, removed1_b, removed2_b = pruned
         stats = [
             PruneStats(
                 int(initial_b[b]),
@@ -991,10 +1158,11 @@ class VectorizedCDSPipeline:
     scalar passes dominate.  A graph that keeps a sorted edge list
     (``keeps_edge_list``: an :class:`repro.graphs.adhoc.AdHocNetwork`
     above its dense cutoff) feeds the kernels its ``topology`` directly,
-    with probe rows packed from it
-    (:func:`repro.graphs.unitdisk._word_rows`), so no Python-int row is
-    read unless ``verify`` or ``shadow_check`` asks for one; any other
-    graph's bitmask rows are packed and decoded by :meth:`BatchCDSEngine.run`.
+    renumbered in its cached ``visit_order()`` and with probe rows packed
+    from it (:func:`repro.graphs.unitdisk._word_rows`), so no Python-int
+    row is read unless ``verify`` or ``shadow_check`` asks for one; any
+    other graph's bitmask rows are packed and decoded by
+    :meth:`BatchCDSEngine.run`.
     """
 
     def __init__(
@@ -1041,13 +1209,10 @@ class VectorizedCDSPipeline:
                 packed = pack_adjacency(adj)[None, :, :]
                 flags, stats = self.engine.run(packed, energy_arr)
             else:
+                order = graph.visit_order()
                 with obs.span("cds_batch"):
-                    with obs.span("edge_table"):
-                        indptr, dst = topo
-                        eS = _sources(indptr)
-                        rows = _word_rows(eS, dst, n, n)
-                    flags, stats = self.engine._run_edges(
-                        rows, eS, dst, dst, energy_arr, 1, n
+                    flags, stats = self.engine._run_topology(
+                        *topo, order, energy_arr
                     )
             mask = flags_to_masks(flags)[0]
             result = CDSResult(

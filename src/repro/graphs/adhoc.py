@@ -33,12 +33,13 @@ counting each build in the obs counter ``graphs.int_rows_built``.  A
 changed edge list is a new pair of arrays, never an in-place edit, so a
 consumer may keep the pair it last read and diff it against the next.
 
-Connectivity is a fact of the topology: :meth:`component_labels` caches
-the component labels on the identity of the current :attr:`topology`
-pair, and a passing :meth:`is_connected` records "one component" there,
-so the sparse pipelines read the labels mobility already proved instead
-of labelling every interval again.  Every change replaces the pair, which
-drops the cache with it.
+Connectivity is a fact of the topology: :meth:`component_labels` and
+:meth:`visit_order` cache the component labels and a breadth-first node
+order on the identity of the current :attr:`topology` pair, and a
+passing :meth:`is_connected` records "one component" and its own search
+order there, so the kernel pipelines read what mobility already proved
+instead of labelling and searching every interval again.  Every change
+replaces the pair, which drops the cache with it.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from repro.errors import TopologyError
 from repro.graphs import bitset
 from repro.graphs.neighborhoods import NeighborhoodView, is_connected
 from repro.graphs.unitdisk import (
+    bfs_order,
     connected_labels,
     patch_topology,
     row_ints,
-    topology_is_connected,
     topology_rows,
     unit_disk_adjacency,
     unit_disk_topology,
@@ -96,8 +97,9 @@ class AdHocNetwork:
         self._side = float(side)
         self._adj: list[int] | None = None
         self._topo: tuple[np.ndarray, np.ndarray] | None = None
-        # (topology pair, its labels or None for "one component")
-        self._comp: tuple[tuple, np.ndarray | None] | None = None
+        # (topology pair, what is known of it: "connected", "labels",
+        # "order"); a new pair starts empty
+        self._facts: tuple[tuple, dict] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -252,18 +254,32 @@ class AdHocNetwork:
         return bool(self.adjacency[u] >> v & 1)
 
     def is_connected(self) -> bool:
-        """Whether the hosts form one component; a pass is recorded for
-        :meth:`component_labels` against the current topology pair (below
-        the cutoff only if that pair is already built)."""
+        """Whether the hosts form one component.  A pass is recorded for
+        :meth:`component_labels` against the current topology pair, with
+        the search's visit order for :meth:`visit_order` (below the
+        cutoff only if that pair is already built, and without the order:
+        the check runs on the bitmask rows there)."""
         if self.keeps_edge_list:
             topo = self.topology
-            ok = topology_is_connected(*topo)
+            order = bfs_order(*topo, [0])
+            ok = len(order) == self.n
         else:
-            topo = self._topo
+            topo, order = self._topo, None
             ok = is_connected(self.adjacency)
         if ok and topo is not None:
-            self._comp = (topo, None)
+            facts = self._facts_of(topo)
+            facts["connected"] = True
+            if order is not None:
+                order.flags.writeable = False
+                facts.setdefault("order", order)
         return ok
+
+    def _facts_of(self, topo: tuple) -> dict:
+        """The cached facts of the topology pair ``topo``: a new pair
+        starts with none."""
+        if self._facts is None or self._facts[0] is not topo:
+            self._facts = (topo, {})
+        return self._facts[1]
 
     def component_labels(self) -> np.ndarray:
         """Read-only per-host component labels of :attr:`topology`: the
@@ -274,16 +290,49 @@ class AdHocNetwork:
         :meth:`is_connected` they are all 0 without a labelling pass;
         otherwise they are computed once per pair.
         """
-        topo = self.topology
-        comp = self._comp
-        if comp is None or comp[0] is not topo or comp[1] is None:
-            if comp is not None and comp[0] is topo:  # is_connected passed
+        return self._labels(self.topology)
+
+    def _labels(self, topo: tuple) -> np.ndarray:
+        facts = self._facts_of(topo)
+        if "labels" not in facts:
+            if facts.get("connected"):
                 labels = np.zeros(self.n, dtype=np.int64)
             else:
                 labels = connected_labels(*topo)
             labels.flags.writeable = False
-            self._comp = comp = (topo, labels)
-        return comp[1]
+            facts["labels"] = labels
+        return facts["labels"]
+
+    def visit_order(self) -> np.ndarray:
+        """Read-only breadth-first visit order of :attr:`topology`: a
+        permutation of the hosts in which graph neighbours sit close
+        together, the order the CDS kernels run in (DESIGN §6
+        "Cache-local node order").
+
+        Cached on the identity of the topology pair.  A passing
+        :meth:`is_connected` above the cutoff records its own search, so
+        a connected lifespan pays no second one; otherwise one
+        :func:`repro.graphs.unitdisk.bfs_order` runs per pair, seeded
+        with host 0 on a connected topology and with every component's
+        minimum (:meth:`component_labels`) on any other.  The obs
+        counters ``kernels.order_reused`` and ``kernels.order_computed``
+        say which of the two happened.
+        """
+        topo = self.topology
+        facts = self._facts_of(topo)
+        if "order" in facts:
+            obs.count("kernels.order_reused")
+        else:
+            if facts.get("connected"):
+                roots = np.zeros(1, dtype=np.int64)
+            else:
+                labels = self._labels(topo)
+                roots = np.flatnonzero(labels == np.arange(self.n))
+            order = bfs_order(*topo, roots)
+            order.flags.writeable = False
+            facts["order"] = order
+            obs.count("kernels.order_computed")
+        return facts["order"]
 
     def snapshot(self) -> NeighborhoodView:
         """Immutable adjacency snapshot for the CDS pipeline."""

@@ -17,13 +17,13 @@ A *topology* is the sorted directed edge list ``(indptr, dst)``: row
 ``v``'s neighbours are ``dst[indptr[v]:indptr[v + 1]]``, ascending —
 ``O(E)`` memory where bitmask rows cost ``n²/8`` bytes.
 :func:`unit_disk_topology` builds it, :func:`patch_topology` updates it
-after moves, :func:`topology_is_connected`, :func:`connected_labels`
-and :func:`topology_row_diff` query it, and :func:`topology_rows` turns
-it into bitmask rows.  ``AdHocNetwork`` keeps its state in this form above
-the size cutoff, and the sparse CSR (``repro.core.sparse.CSRBatch``)
-wraps the same two arrays.  Packed rows are ``max(1, ceil(n / 64))``
-little-endian ``uint64`` words, padding bits zero; :func:`edge_table`
-decodes them.
+after moves, :func:`bfs_order`, :func:`topology_is_connected`,
+:func:`connected_labels` and :func:`topology_row_diff` query it, and
+:func:`topology_rows` turns it into bitmask rows.  ``AdHocNetwork``
+keeps its state in this form above the size cutoff, and the sparse CSR
+(``repro.core.sparse.CSRBatch``) wraps the same two arrays.  Packed
+rows are ``max(1, ceil(n / 64))`` little-endian ``uint64`` words,
+padding bits zero; :func:`edge_table` decodes them.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "sorted_pairs",
     "unit_disk_topology",
     "patch_topology",
+    "bfs_order",
     "topology_is_connected",
     "connected_labels",
     "topology_row_diff",
@@ -200,18 +201,26 @@ def patch_topology(
     return (_indptr(src, n), keys), changed
 
 
-def topology_is_connected(indptr: np.ndarray, dst: np.ndarray) -> bool:
-    """Whether a topology is one connected component (vacuously true for
-    n = 0): a breadth-first search that expands a whole frontier per
-    numpy pass."""
+def bfs_order(
+    indptr: np.ndarray, dst: np.ndarray, roots
+) -> np.ndarray:
+    """The rows a breadth-first search from ``roots`` reaches, in visit
+    order: the roots as given, then each frontier ascending.
+
+    One numpy pass expands a whole frontier, so the work is ``O(E)`` plus
+    one ``np.unique`` per level.  Seeded with one root per component
+    (the component minima, or ``[0]`` on a connected topology) it visits
+    every row, and the order is a permutation in which each row's
+    neighbours lie within a level or two of it: the node order the
+    kernels run in (``repro.core.vectorized``, DESIGN §6 "Cache-local
+    node order").
+    """
     n = len(indptr) - 1
-    if n == 0:
-        return True
     deg = np.diff(indptr)
     seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    front = np.zeros(1, dtype=np.int64)
-    reached = 1
+    front = np.asarray(roots, dtype=np.int64)
+    seen[front] = True
+    parts = [front]
     while len(front):
         cnt = deg[front]
         first = np.cumsum(cnt) - cnt
@@ -220,8 +229,15 @@ def topology_is_connected(indptr: np.ndarray, dst: np.ndarray) -> bool:
         nb = dst[at]
         front = np.unique(nb[~seen[nb]])
         seen[front] = True
-        reached += len(front)
-    return reached == n
+        parts.append(front)
+    return np.concatenate(parts)
+
+
+def topology_is_connected(indptr: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether a topology is one connected component (vacuously true for
+    n = 0): a :func:`bfs_order` from row 0 reaches all ``n`` rows."""
+    n = len(indptr) - 1
+    return n == 0 or len(bfs_order(indptr, dst, [0])) == n
 
 
 def connected_labels(indptr: np.ndarray, dst_flat: np.ndarray) -> np.ndarray:

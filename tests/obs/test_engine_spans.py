@@ -3,7 +3,8 @@
 The dense engine (:class:`BatchCDSEngine`) and the sparse engine's big
 tier run one kernel set; both open the stage spans ``edge_table``,
 ``edge_miss``, ``rule1``, ``rule2_triples`` and ``rule2_rounds``, and the
-sparse engine a ``components`` span for its labelling.  One
+sparse engine a ``components`` span for its labelling and a ``relabel``
+span for the visit-order renumbering of its big tier.  One
 traced run must emit each of them a bounded number of times — the edge
 stages once per call, the rule stages at most once per Rule-1/Rule-2
 round — so tracing stays O(stages), and the Rule-2 counters must
@@ -55,9 +56,14 @@ def test_stage_spans_bounded_per_round(engine_kind, fixed_point):
     assert rounds >= (2 if fixed_point else 1)
     spans = reg.spans
     per_call = {"edge_table": 1, "edge_miss": 1}
-    if engine_kind == "sparse":  # the sparse engine labels its components
+    if engine_kind == "sparse":
+        # the sparse engine labels its components, and its big tier
+        # renumbers the nodes into visit order
         per_call["components"] = 1
+        per_call["relabel"] = 1
         assert spans["cds_sparse/components"].count == 1
+        assert spans["cds_sparse/relabel"].count == 1
+        assert reg.counters["kernels.order_computed"] == 1
     for stage in STAGES:
         got = spans[f"{root}/{stage}"].count
         if stage in per_call:
